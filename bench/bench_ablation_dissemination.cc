@@ -41,8 +41,7 @@ Measurement Measure(size_t num_nodes, size_t subscribers, uint64_t seed) {
   metrics::Recorder recorder;
   net::OverlayNetwork network(&engine, &rng, &recorder);
   Protocol protocol(&network, &*tree);
-  network.set_handler(
-      [&protocol](const net::Message& m) { protocol.OnMessage(m); });
+  network.set_sink(&protocol);
 
   size_t delivered = 0;
   protocol.set_delivery_callback(

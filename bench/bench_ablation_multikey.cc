@@ -166,12 +166,7 @@ int main() {
     manifest.jobs = settings.effective_jobs();
     manifest.shards = settings.shards;
     manifest.wall_seconds = total_wall;
-    manifest.config.Set("num_nodes", static_cast<uint64_t>(config.num_nodes));
-    manifest.config.Set("lambda", config.lambda);
-    manifest.config.Set("key_zipf_theta", config.key_zipf_theta);
-    manifest.config.Set("node_zipf_theta", config.node_zipf_theta);
-    manifest.config.Set("warmup_time", config.warmup_time);
-    manifest.config.Set("measure_time", config.measure_time);
+    manifest.config = multikey::ManifestConfig(config);
     manifest.config.Set("bench_mode", settings.full ? "full" : "quick");
   }
 

@@ -5,13 +5,13 @@
 #include <string>
 #include <vector>
 
-#include "audit/audit_mode.h"
 #include "experiment/config.h"
 #include "experiment/manifest.h"
 #include "experiment/parallel_runner.h"
 #include "experiment/replicator.h"
 #include "experiment/report.h"
 #include "metrics/run_manifest.h"
+#include "util/config.h"
 #include "util/json.h"
 
 namespace dupnet::bench {
@@ -23,22 +23,18 @@ namespace dupnet::bench {
 /// largest network sizes. DUP_BENCH_REPS overrides the replication count.
 /// DUP_BENCH_JOBS sets the worker-thread count for sweep fan-out (0 = one
 /// thread per hardware core, the default). Results are bit-identical for
-/// every jobs value. Malformed DUP_BENCH_REPS/DUP_BENCH_JOBS values abort
-/// with a diagnostic instead of being ignored.
+/// every jobs value.
 ///
-/// DUP_TRACE_OUT streams every run's message events to JSONL files derived
-/// from the given path (".p<point>.r<rep>" per batch slot), decimated by
-/// DUP_TRACE_SAMPLE (see trace::TraceSampling::Parse). Tracing draws no
-/// randomness, so traced results stay bit-identical to untraced ones.
-///
-/// DUP_AUDIT (off|checkpoints|paranoid) arms the invariant auditor on every
-/// run, checkpointed every DUP_AUDIT_INTERVAL sim-seconds (0 = once per
-/// TTL); see docs/invariants.md. Auditing is likewise metrics-neutral, but
-/// an invariant violation aborts the bench with its diagnostic.
-///
-/// DUP_SHARDS sets the intra-run engine shard count for benches driving the
-/// sharded multikey simulation (1 = unsharded, the default). Merged metrics
-/// are bit-identical for every shard count; only wall-clock changes.
+/// The environment aliases of the config key table (experiment/
+/// config_keys.h) reach every run through the table's own parsers:
+/// DUP_TRACE_OUT / DUP_TRACE_SAMPLE stream message events to JSONL files
+/// derived from the given path (".p<point>.r<rep>" per batch slot), and
+/// DUP_AUDIT / DUP_AUDIT_INTERVAL arm the invariant auditor
+/// (docs/invariants.md). Both are metrics-neutral; an invariant violation
+/// aborts the bench with its diagnostic. DUP_SHARDS sets the intra-run
+/// engine shard count of the multikey benches (merged metrics are
+/// bit-identical for every value). A malformed value of any of these
+/// variables aborts with a diagnostic naming it instead of being ignored.
 struct BenchSettings {
   size_t replications = 2;
   double warmup_time = 3600.0;
@@ -46,10 +42,8 @@ struct BenchSettings {
   bool full = false;
   size_t jobs = 0;  ///< 0 = all hardware threads.
   size_t shards = 1;  ///< Intra-run engine shards (multikey benches).
-  std::string trace_out;        ///< Empty = no trace export.
-  std::string trace_sample = "1";
-  audit::AuditMode audit_mode = audit::AuditMode::kOff;
-  double audit_interval = 0.0;  ///< 0 = one checkpoint per TTL.
+  /// Config keys set through environment aliases, applied by Apply().
+  util::ConfigMap env_keys;
 
   /// Reads the environment.
   static BenchSettings FromEnv();
@@ -57,7 +51,8 @@ struct BenchSettings {
   /// The resolved worker-thread count (jobs, with 0 mapped to cores).
   size_t effective_jobs() const;
 
-  /// Applies the horizon to a config (topology/workload fields untouched).
+  /// Applies the horizon and env_keys to a config (topology/workload
+  /// fields untouched).
   void Apply(experiment::ExperimentConfig* config) const;
 };
 

@@ -38,6 +38,7 @@
 
 #include "bench_common.h"
 #include "experiment/config.h"
+#include "experiment/config_keys.h"
 #include "experiment/driver.h"
 #include "experiment/manifest.h"
 #include "metrics/run_manifest.h"
@@ -119,16 +120,15 @@ struct ScalePoint {
   }
 };
 
-/// The whole-run scheduler, from DUP_SCHEDULER (default calendar).
+/// The whole-run scheduler: calendar unless the scheduler key's
+/// environment alias (DUP_SCHEDULER) says otherwise.
 sim::SchedulerKind RunScheduler() {
-  const char* env = std::getenv("DUP_SCHEDULER");
-  if (env == nullptr || *env == '\0') return sim::SchedulerKind::kCalendar;
-  const auto kind = experiment::ParseScheduler(env);
-  if (!kind.ok()) {
-    std::fprintf(stderr, "bench_scale: bad DUP_SCHEDULER \"%s\"\n", env);
-    std::exit(2);
-  }
-  return *kind;
+  const experiment::KeySchema schema{"bench_scale", {"scheduler"}, {}};
+  util::ConfigMap keys;
+  experiment::ExperimentConfig config;
+  DUP_CHECK_OK(experiment::ResolveEnvAliases(schema, &keys));
+  DUP_CHECK_OK(experiment::ApplyKeys(schema, keys, &config));
+  return config.scheduler;
 }
 
 /// One TTL period at a constant per-node query rate, so event volume —

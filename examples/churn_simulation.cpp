@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "experiment/config.h"
+#include "experiment/config_keys.h"
 #include "experiment/driver.h"
 #include "util/check.h"
 #include "util/config.h"
@@ -19,15 +20,19 @@ int main(int argc, char** argv) {
 
   experiment::ExperimentConfig config;
   config.scheme = experiment::Scheme::kDup;
-  config.num_nodes = static_cast<size_t>(args->GetInt("nodes", 512));
-  config.lambda = args->GetDouble("lambda", 2.0);
-  config.seed = static_cast<uint64_t>(args->GetInt("seed", 42));
-  config.warmup_time = args->GetDouble("warmup", 3600.0);
-  config.measure_time = args->GetDouble("measure", 14160.0);
-  config.churn.join_rate = args->GetDouble("join", 0.02);
-  config.churn.leave_rate = args->GetDouble("leave", 0.01);
-  config.churn.fail_rate = args->GetDouble("fail", 0.01);
-  config.churn.detect_delay = args->GetDouble("detect", 30.0);
+  config.num_nodes = 512;
+  config.lambda = 2.0;
+  config.warmup_time = 3600.0;
+  config.measure_time = 14160.0;
+  config.churn.join_rate = 0.02;
+  config.churn.leave_rate = 0.01;
+  config.churn.fail_rate = 0.01;
+  const experiment::KeySchema schema{
+      "churn_simulation",
+      {"nodes", "lambda", "seed", "warmup", "measure", "join", "leave",
+       "fail", "detect"},
+      {{"root_failure", "whether the authority itself may crash [1]"}}};
+  DUP_CHECK_OK(experiment::ApplyKeys(schema, *args, &config));
   config.churn.allow_root_failure = args->GetBool("root_failure", true);
   // Checkpointed invariant auditing (docs/invariants.md): RunToCompletion
   // ends with a reconvergence round and a forced global audit.

@@ -40,8 +40,7 @@ Result Run(size_t nodes, size_t subscribers, size_t publishes,
   metrics::Recorder recorder;
   net::OverlayNetwork network(&engine, &rng, &recorder);
   Protocol protocol(&network, &*tree);
-  network.set_handler(
-      [&protocol](const net::Message& m) { protocol.OnMessage(m); });
+  network.set_sink(&protocol);
 
   std::vector<NodeId> candidates;
   for (NodeId n = 1; n < nodes; ++n) candidates.push_back(n);

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "experiment/config.h"
+#include "experiment/config_keys.h"
 #include "experiment/driver.h"
 #include "util/check.h"
 #include "util/config.h"
@@ -23,23 +24,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Example defaults, then the command line through the config key table.
   experiment::ExperimentConfig config;
-  config.num_nodes = static_cast<size_t>(args->GetInt("nodes", 1024));
-  config.max_degree = static_cast<int>(args->GetInt("degree", 4));
-  config.lambda = args->GetDouble("lambda", 1.0);
-  config.zipf_theta = args->GetDouble("theta", 0.8);
-  config.threshold_c = static_cast<uint32_t>(args->GetInt("c", 6));
-  config.seed = static_cast<uint64_t>(args->GetInt("seed", 42));
-  config.warmup_time = args->GetDouble("warmup", 3600.0);
-  config.measure_time = args->GetDouble("measure", 14160.0);
-
-  auto scheme = experiment::ParseScheme(args->GetString("scheme", "dup"));
-  DUP_CHECK(scheme.ok()) << scheme.status().ToString();
-  config.scheme = *scheme;
-  auto topology =
-      experiment::ParseTopology(args->GetString("topology", "random-tree"));
-  DUP_CHECK(topology.ok()) << topology.status().ToString();
-  config.topology = *topology;
+  config.num_nodes = 1024;
+  config.warmup_time = 3600.0;
+  config.measure_time = 14160.0;
+  const experiment::KeySchema schema{
+      "quickstart",
+      {"scheme", "topology", "nodes", "degree", "lambda", "theta", "c",
+       "seed", "warmup", "measure"},
+      {}};
+  DUP_CHECK_OK(experiment::ApplyKeys(schema, *args, &config));
 
   std::printf("running: %s\n", config.ToString().c_str());
   auto metrics = experiment::SimulationDriver::Run(config);

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "experiment/config.h"
+#include "experiment/config_keys.h"
 #include "experiment/replicator.h"
 #include "experiment/report.h"
 #include "util/check.h"
@@ -21,21 +22,19 @@ int main(int argc, char** argv) {
   DUP_CHECK(args.ok()) << args.status().ToString();
 
   experiment::ExperimentConfig config;
-  config.num_nodes = static_cast<size_t>(args->GetInt("nodes", 1024));
-  config.max_degree = static_cast<int>(args->GetInt("degree", 4));
-  config.lambda = args->GetDouble("lambda", 1.0);
-  config.zipf_theta = args->GetDouble("theta", 0.8);
-  config.seed = static_cast<uint64_t>(args->GetInt("seed", 42));
-  config.warmup_time = args->GetDouble("warmup", 3600.0);
-  config.measure_time = args->GetDouble("measure", 14160.0);
-  config.per_copy_ttl = args->GetBool("percopy", true);
-  config.cache_passing_replies = args->GetBool("passrep", false);
-  config.count_forwarded_queries = args->GetBool("fwd", false);
-  config.threshold_c = static_cast<uint32_t>(args->GetInt("c", 6));
-  if (args->Has("alpha")) {
-    config.arrival = experiment::ArrivalKind::kPareto;
-    config.pareto_alpha = args->GetDouble("alpha", 1.2);
-  }
+  config.num_nodes = 1024;
+  config.warmup_time = 3600.0;
+  config.measure_time = 14160.0;
+  config.count_forwarded_queries = false;
+  const experiment::KeySchema schema{
+      "scheme_comparison",
+      {"nodes", "degree", "lambda", "theta", "seed", "warmup", "measure",
+       "percopy", "passrep", "fwd", "c", "alpha"},
+      {{"reps", "replications per scheme [3]",
+        experiment::ValueKind::kPositiveCount}}};
+  DUP_CHECK_OK(experiment::ApplyKeys(schema, *args, &config));
+  // Giving a Pareto shape selects Pareto arrivals.
+  if (args->Has("alpha")) config.arrival = experiment::ArrivalKind::kPareto;
   const size_t reps = static_cast<size_t>(args->GetInt("reps", 3));
 
   std::printf("comparing schemes at lambda=%g on n=%zu (reps=%zu)...\n",

@@ -17,8 +17,9 @@ namespace dupnet::dissem {
 ///
 /// Implementations share the index search tree and overlay used by the
 /// consistency schemes so their control/push/state costs are directly
-/// comparable (see bench_ablation_dissemination).
-class DisseminationProtocol {
+/// comparable (see bench_ablation_dissemination). A protocol is the
+/// overlay's message sink: install it with OverlayNetwork::set_sink().
+class DisseminationProtocol : public net::MessageSink {
  public:
   using DeliveryCallback = std::function<void(NodeId, IndexVersion)>;
 
@@ -34,9 +35,6 @@ class DisseminationProtocol {
 
   /// Publishes a new version at the tree root (the rendezvous/authority).
   virtual void Publish(IndexVersion version, sim::SimTime expiry) = 0;
-
-  /// Network delivery entry point.
-  virtual void OnMessage(const net::Message& message) = 0;
 
   /// Largest per-node routing/membership table the scheme currently
   /// maintains anywhere — the paper's scalability argument (Section V:

@@ -1,7 +1,10 @@
 #include "experiment/config.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 
+#include "experiment/config_keys.h"
 #include "trace/jsonl_writer.h"
 #include "util/str.h"
 
@@ -10,119 +13,103 @@ namespace dupnet::experiment {
 using util::Result;
 using util::Status;
 
-std::string_view SchemeToString(Scheme scheme) {
-  switch (scheme) {
-    case Scheme::kPcx:
-      return "pcx";
-    case Scheme::kCup:
-      return "cup";
-    case Scheme::kDup:
-      return "dup";
-    case Scheme::kAdaptive:
-      return "adaptive";
+namespace {
+
+/// One spelling of an enum value. Each table lists the canonical spelling
+/// of a value before its aliases.
+template <typename E>
+struct Spelling {
+  std::string_view name;
+  E value;
+};
+
+template <typename E, size_t N>
+std::string_view NameOf(const Spelling<E> (&spellings)[N], E value) {
+  for (const Spelling<E>& s : spellings) {
+    if (s.value == value) return s.name;
   }
   return "unknown";
 }
 
+template <typename E, size_t N>
+Result<E> Lookup(const Spelling<E> (&spellings)[N], const char* what,
+                 std::string_view name) {
+  for (const Spelling<E>& s : spellings) {
+    if (s.name == name) return s.value;
+  }
+  return Status::InvalidArgument(util::StrFormat(
+      "unknown %s \"%s\"", what, std::string(name).c_str()));
+}
+
+constexpr Spelling<Scheme> kSchemes[] = {{"pcx", Scheme::kPcx},
+                                         {"cup", Scheme::kCup},
+                                         {"dup", Scheme::kDup},
+                                         {"adaptive", Scheme::kAdaptive}};
+constexpr Spelling<TopologyKind> kTopologies[] = {
+    {"random-tree", TopologyKind::kRandomTree},
+    {"tree", TopologyKind::kRandomTree},
+    {"chord", TopologyKind::kChord},
+    {"can", TopologyKind::kCan},
+    {"pastry", TopologyKind::kPastry}};
+constexpr Spelling<TransportKind> kTransports[] = {
+    {"sim", TransportKind::kSim},
+    {"wire", TransportKind::kWire},
+    {"udp", TransportKind::kWire}};
+constexpr Spelling<UpdateMode> kUpdateModes[] = {
+    {"ttl-aligned", UpdateMode::kTtlAligned},
+    {"ttl", UpdateMode::kTtlAligned},
+    {"host-driven", UpdateMode::kHostDriven},
+    {"host", UpdateMode::kHostDriven}};
+constexpr Spelling<ArrivalKind> kArrivals[] = {
+    {"exponential", ArrivalKind::kExponential},
+    {"exp", ArrivalKind::kExponential},
+    {"pareto", ArrivalKind::kPareto}};
+constexpr Spelling<sim::SchedulerKind> kSchedulers[] = {
+    {"heap", sim::SchedulerKind::kHeap},
+    {"calendar", sim::SchedulerKind::kCalendar}};
+
+}  // namespace
+
+std::string_view SchemeToString(Scheme scheme) {
+  return NameOf(kSchemes, scheme);
+}
 Result<Scheme> ParseScheme(std::string_view name) {
-  if (name == "pcx") return Scheme::kPcx;
-  if (name == "cup") return Scheme::kCup;
-  if (name == "dup") return Scheme::kDup;
-  if (name == "adaptive") return Scheme::kAdaptive;
-  return Status::InvalidArgument(
-      util::StrFormat("unknown scheme \"%s\"", std::string(name).c_str()));
+  return Lookup(kSchemes, "scheme", name);
 }
 
 std::string_view TopologyToString(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::kRandomTree:
-      return "random-tree";
-    case TopologyKind::kChord:
-      return "chord";
-    case TopologyKind::kCan:
-      return "can";
-    case TopologyKind::kPastry:
-      return "pastry";
-  }
-  return "unknown";
+  return NameOf(kTopologies, kind);
 }
-
 Result<TopologyKind> ParseTopology(std::string_view name) {
-  if (name == "random-tree" || name == "tree") return TopologyKind::kRandomTree;
-  if (name == "chord") return TopologyKind::kChord;
-  if (name == "can") return TopologyKind::kCan;
-  if (name == "pastry") return TopologyKind::kPastry;
-  return Status::InvalidArgument(
-      util::StrFormat("unknown topology \"%s\"", std::string(name).c_str()));
+  return Lookup(kTopologies, "topology", name);
 }
 
 std::string_view TransportKindToString(TransportKind kind) {
-  switch (kind) {
-    case TransportKind::kSim:
-      return "sim";
-    case TransportKind::kWire:
-      return "wire";
-  }
-  return "unknown";
+  return NameOf(kTransports, kind);
 }
-
 Result<TransportKind> ParseTransportKind(std::string_view name) {
-  if (name == "sim") return TransportKind::kSim;
-  if (name == "wire" || name == "udp") return TransportKind::kWire;
-  return Status::InvalidArgument(
-      util::StrFormat("unknown transport \"%s\"", std::string(name).c_str()));
+  return Lookup(kTransports, "transport", name);
 }
 
 std::string_view UpdateModeToString(UpdateMode mode) {
-  switch (mode) {
-    case UpdateMode::kTtlAligned:
-      return "ttl-aligned";
-    case UpdateMode::kHostDriven:
-      return "host-driven";
-  }
-  return "unknown";
+  return NameOf(kUpdateModes, mode);
 }
-
 Result<UpdateMode> ParseUpdateMode(std::string_view name) {
-  if (name == "ttl-aligned" || name == "ttl") return UpdateMode::kTtlAligned;
-  if (name == "host-driven" || name == "host") return UpdateMode::kHostDriven;
-  return Status::InvalidArgument(
-      util::StrFormat("unknown update mode \"%s\"",
-                      std::string(name).c_str()));
+  return Lookup(kUpdateModes, "update mode", name);
 }
 
 std::string_view ArrivalToString(ArrivalKind kind) {
-  switch (kind) {
-    case ArrivalKind::kExponential:
-      return "exponential";
-    case ArrivalKind::kPareto:
-      return "pareto";
-  }
-  return "unknown";
+  return NameOf(kArrivals, kind);
 }
-
 Result<ArrivalKind> ParseArrival(std::string_view name) {
-  if (name == "exponential" || name == "exp") return ArrivalKind::kExponential;
-  if (name == "pareto") return ArrivalKind::kPareto;
-  return Status::InvalidArgument(
-      util::StrFormat("unknown arrival \"%s\"", std::string(name).c_str()));
+  return Lookup(kArrivals, "arrival", name);
 }
 
 std::string_view SchedulerToString(sim::SchedulerKind kind) {
-  switch (kind) {
-    case sim::SchedulerKind::kHeap:
-      return "heap";
-    case sim::SchedulerKind::kCalendar:
-      return "calendar";
-  }
-  return "unknown";
+  return NameOf(kSchedulers, kind);
 }
-
 Result<sim::SchedulerKind> ParseScheduler(std::string_view name) {
-  if (name == "heap") return sim::SchedulerKind::kHeap;
-  if (name == "calendar") return sim::SchedulerKind::kCalendar;
-  return Status::InvalidArgument(
-      util::StrFormat("unknown scheduler \"%s\"", std::string(name).c_str()));
+  return Lookup(kSchedulers, "scheduler", name);
 }
 
 Status ExperimentConfig::Validate() const {
@@ -204,49 +191,24 @@ Status ExperimentConfig::Validate() const {
 }
 
 std::string ExperimentConfig::ToString() const {
-  std::string out = util::StrFormat(
-      "%s topo=%s n=%zu D=%d lambda=%g arrival=%s alpha=%g theta=%g c=%u "
-      "ttl=%g lead=%g warmup=%g measure=%g seed=%llu%s%s",
-      std::string(SchemeToString(scheme)).c_str(),
-      std::string(TopologyToString(topology)).c_str(), num_nodes, max_degree,
-      lambda, std::string(ArrivalToString(arrival)).c_str(), pareto_alpha,
-      zipf_theta, threshold_c, ttl, push_lead, warmup_time, measure_time,
-      static_cast<unsigned long long>(seed),
-      dup.shortcut_push ? "" : " no-shortcut",
-      churn.enabled() ? " churn" : "");
-  if (scheduler != sim::SchedulerKind::kCalendar) {
-    out += util::StrFormat(
-        " scheduler=%s", std::string(SchedulerToString(scheduler)).c_str());
-  }
-  if (faults.active() || faults.refresh_interval > 0.0) {
-    out += util::StrFormat(" loss=%g jitter=%g retry_max=%u refresh=%g",
-                           faults.loss_rate, faults.jitter, faults.retry_max,
-                           faults.refresh_interval);
-  }
-  if (!phases.empty()) {
-    out += util::StrFormat(" phases=%zu", phases.size());
-  }
-  if (scheme == Scheme::kAdaptive) {
-    out += util::StrFormat(" cup_enter=%g dup_enter=%g",
-                           adaptive.cup_enter_per_update,
-                           adaptive.dup_enter_per_update);
-  }
-  if (dup.max_arity > 0) {
-    out += util::StrFormat(" max_arity=%u", dup.max_arity);
-  }
-  if (transport != TransportKind::kSim) {
-    out += util::StrFormat(" transport=%s port=%d pace=%g",
-                           std::string(TransportKindToString(transport)).c_str(),
-                           wire_port, wire_pace);
-  }
-  if (audit_mode != audit::AuditMode::kOff) {
-    out += util::StrFormat(
-        " audit=%s",
-        std::string(audit::AuditModeToString(audit_mode)).c_str());
-    if (audit_interval > 0.0) {
-      out += util::StrFormat(" audit_interval=%g", audit_interval);
+  // Table I's parameters always, any other key only off its default, all
+  // as replayable key=value pairs.
+  static constexpr std::string_view kAlways[] = {
+      "scheme", "topology", "nodes", "degree", "lambda", "arrival", "theta",
+      "c",      "ttl",      "lead",  "warmup", "measure", "seed"};
+  const ExperimentConfig defaults;
+  std::string out;
+  for (const ConfigKey& key : ConfigKeys()) {
+    const std::string value = key.Format(*this);
+    if (std::find(std::begin(kAlways), std::end(kAlways), key.name) ==
+            std::end(kAlways) &&
+        value == key.Format(defaults)) {
+      continue;
     }
+    if (!out.empty()) out += ' ';
+    out += std::string(key.name) + "=" + value;
   }
+  if (!phases.empty()) out += util::StrFormat(" phases=%zu", phases.size());
   return out;
 }
 

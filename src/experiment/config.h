@@ -161,7 +161,7 @@ struct ExperimentConfig {
 
   uint64_t seed = 42;
 
-  /// Physical transport backend (dupsim transport=, DUP_TRANSPORT env).
+  /// Physical transport backend (the transport= key).
   TransportKind transport = TransportKind::kSim;
   /// TransportKind::kWire only: loopback UDP port for the frame socket.
   int wire_port = 17405;
@@ -221,7 +221,9 @@ struct ExperimentConfig {
   /// Rejects inconsistent parameter combinations.
   util::Status Validate() const;
 
-  /// One-line description for logs and reports.
+  /// One-line description for logs and reports: key=value pairs of the
+  /// config key table (Table I's parameters, then every other key that
+  /// differs from its default).
   std::string ToString() const;
 };
 

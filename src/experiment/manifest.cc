@@ -2,75 +2,22 @@
 
 #include <utility>
 
+#include "experiment/config_keys.h"
+#include "util/check.h"
+
 namespace dupnet::experiment {
 
-namespace {
-
-std::string_view CupPolicyToString(proto::CupPushPolicy policy) {
-  switch (policy) {
-    case proto::CupPushPolicy::kDemandWindow:
-      return "demand-window";
-    case proto::CupPushPolicy::kPopularityThreshold:
-      return "popularity-threshold";
-    case proto::CupPushPolicy::kInvestmentReturn:
-      return "investment-return";
-  }
-  return "unknown";
+util::JsonValue ConfigToJson(const ExperimentConfig& config) {
+  return ConfigToJson(config, AllConfigKeys());
 }
 
-}  // namespace
-
-util::JsonValue ConfigToJson(const ExperimentConfig& config) {
+util::JsonValue ConfigToJson(const ExperimentConfig& config,
+                             const std::vector<std::string_view>& keys) {
   util::JsonValue json = util::JsonValue::MakeObject();
-  json.Set("scheme", std::string(SchemeToString(config.scheme)));
-  json.Set("topology", std::string(TopologyToString(config.topology)));
-  json.Set("num_nodes", static_cast<uint64_t>(config.num_nodes));
-  json.Set("max_degree", config.max_degree);
-  json.Set("can_dims", config.can_dims);
-  json.Set("lambda", config.lambda);
-  json.Set("arrival", std::string(ArrivalToString(config.arrival)));
-  json.Set("pareto_alpha", config.pareto_alpha);
-  json.Set("zipf_theta", config.zipf_theta);
-  json.Set("threshold_c", static_cast<uint64_t>(config.threshold_c));
-  json.Set("count_forwarded_queries", config.count_forwarded_queries);
-  json.Set("per_copy_ttl", config.per_copy_ttl);
-  json.Set("cache_passing_replies", config.cache_passing_replies);
-  json.Set("ttl", config.ttl);
-  json.Set("push_lead", config.push_lead);
-  json.Set("update_mode",
-           std::string(UpdateModeToString(config.update_mode)));
-  json.Set("host_change_rate", config.host_change_rate);
-  json.Set("hop_latency_mean", config.hop_latency_mean);
-  json.Set("warmup_time", config.warmup_time);
-  json.Set("measure_time", config.measure_time);
-  json.Set("shortcut_push", config.dup.shortcut_push);
-  json.Set("piggyback_subscribe", config.dup.piggyback_subscribe);
-  json.Set("cup_policy", std::string(CupPolicyToString(config.cup.policy)));
-  json.Set("join_rate", config.churn.join_rate);
-  json.Set("leave_rate", config.churn.leave_rate);
-  json.Set("fail_rate", config.churn.fail_rate);
-  json.Set("detect_delay", config.churn.detect_delay);
-  json.Set("loss_rate", config.faults.loss_rate);
-  json.Set("jitter", config.faults.jitter);
-  json.Set("retry_max", static_cast<uint64_t>(config.faults.retry_max));
-  json.Set("retry_timeout", config.faults.retry_timeout);
-  json.Set("retry_backoff", config.faults.retry_backoff);
-  json.Set("refresh_interval", config.faults.refresh_interval);
-  json.Set("seed", std::to_string(config.seed));
-  json.Set("scheduler", std::string(SchedulerToString(config.scheduler)));
-  json.Set("transport", std::string(TransportKindToString(config.transport)));
-  if (config.transport != TransportKind::kSim) {
-    json.Set("wire_port", static_cast<uint64_t>(config.wire_port));
-    json.Set("wire_pace", config.wire_pace);
-  }
-  if (!config.trace_path.empty()) {
-    json.Set("trace_path", config.trace_path);
-    json.Set("trace_sample", config.trace_sample);
-  }
-  if (config.audit_mode != audit::AuditMode::kOff) {
-    json.Set("audit_mode",
-             std::string(audit::AuditModeToString(config.audit_mode)));
-    json.Set("audit_interval", config.audit_interval);
+  for (std::string_view name : keys) {
+    const ConfigKey* key = FindConfigKey(name);
+    DUP_CHECK(key != nullptr) << "no config key \"" << name << "\"";
+    json.Set(std::string(name), key->get(config));
   }
   return json;
 }

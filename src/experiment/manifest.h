@@ -2,6 +2,8 @@
 #define DUP_EXPERIMENT_MANIFEST_H_
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "experiment/config.h"
 #include "experiment/parallel_runner.h"
@@ -12,10 +14,15 @@ namespace dupnet::experiment {
 
 /// Flattens an ExperimentConfig into the free-form JSON object a
 /// metrics::RunManifest carries (the metrics layer must not depend on this
-/// one). Every knob that affects simulation results is included; the seed
-/// is serialised as a decimal string because JSON doubles lose 64-bit
-/// precision.
+/// one): every key of the config key table (experiment/config_keys.h)
+/// under its command-line name, so any manifest config replays as
+/// key=value arguments. The seed is a decimal string because JSON doubles
+/// lose 64-bit precision.
 util::JsonValue ConfigToJson(const ExperimentConfig& config);
+
+/// Same, restricted to the table keys named in `keys`.
+util::JsonValue ConfigToJson(const ExperimentConfig& config,
+                             const std::vector<std::string_view>& keys);
 
 /// Builds the provenance manifest for a run of `config`: tool/exhibit,
 /// commit, host, seed, jobs and the full flattened config. The caller

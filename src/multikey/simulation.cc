@@ -7,6 +7,7 @@
 #include "chord/tree_builder.h"
 #include "core/adaptive_protocol.h"
 #include "core/dup_protocol.h"
+#include "experiment/manifest.h"
 #include "experiment/parallel_runner.h"
 #include "proto/cup.h"
 #include "proto/pcx.h"
@@ -18,32 +19,80 @@ namespace dupnet::multikey {
 using util::Result;
 using util::Status;
 
+namespace {
+
+/// The one list of fields a multikey run shares with ExperimentConfig
+/// (MultiKeyConfigKeys() names their keys). `fn(experiment_field,
+/// multikey_field)` runs per pair, so the list converts either way.
+template <typename E, typename M, typename Fn>
+void ForEachSharedField(E& e, M& m, Fn fn) {
+  fn(e.scheme, m.scheme);
+  fn(e.num_nodes, m.num_nodes);
+  fn(e.lambda, m.lambda);
+  fn(e.zipf_theta, m.node_zipf_theta);
+  fn(e.threshold_c, m.threshold_c);
+  fn(e.ttl, m.ttl);
+  fn(e.push_lead, m.push_lead);
+  fn(e.hop_latency_mean, m.hop_latency_mean);
+  fn(e.warmup_time, m.warmup_time);
+  fn(e.measure_time, m.measure_time);
+  fn(e.seed, m.seed);
+  fn(e.dup, m.dup);
+  fn(e.adaptive, m.adaptive);
+  fn(e.faults, m.faults);
+}
+
+experiment::ExperimentConfig SharedFields(const MultiKeyConfig& config) {
+  experiment::ExperimentConfig shared;
+  ForEachSharedField(shared, config,
+                     [](auto& to, const auto& from) { to = from; });
+  return shared;
+}
+
+}  // namespace
+
+const std::vector<std::string_view>& MultiKeyConfigKeys() {
+  static const std::vector<std::string_view> keys = {
+      "scheme", "nodes", "lambda", "theta", "c", "ttl", "lead", "hoplat",
+      "warmup", "measure", "seed",
+      // dup
+      "shortcut", "piggyback", "max_arity",
+      // adaptive
+      "demand_window", "cup_enter", "dup_enter", "exit_fraction", "dwell",
+      // faults
+      "loss_rate", "jitter", "retry_max", "retry_timeout", "retry_backoff",
+      "refresh_interval"};
+  return keys;
+}
+
+MultiKeyConfig FromExperimentConfig(
+    const experiment::ExperimentConfig& config) {
+  MultiKeyConfig out;
+  ForEachSharedField(config, out,
+                     [](const auto& from, auto& to) { to = from; });
+  return out;
+}
+
+util::JsonValue ManifestConfig(const MultiKeyConfig& config) {
+  util::JsonValue json =
+      experiment::ConfigToJson(SharedFields(config), MultiKeyConfigKeys());
+  json.Set("keys", static_cast<uint64_t>(config.num_keys));
+  json.Set("key_theta", config.key_zipf_theta);
+  return json;
+}
+
 Status MultiKeyConfig::Validate() const {
-  if (num_nodes < 2) return Status::InvalidArgument("need >= 2 nodes");
+  // The shared fields obey the single-key rules.
+  DUP_RETURN_IF_ERROR(SharedFields(*this).Validate());
   if (num_keys < 1) return Status::InvalidArgument("need >= 1 key");
-  if (lambda <= 0) return Status::InvalidArgument("lambda must be positive");
-  if (key_zipf_theta < 0 || node_zipf_theta < 0) {
-    return Status::InvalidArgument("zipf exponents must be non-negative");
-  }
-  if (ttl <= 0 || push_lead < 0 || push_lead >= ttl) {
-    return Status::InvalidArgument("invalid ttl/push_lead");
-  }
-  if (measure_time <= 0 || warmup_time < 0) {
-    return Status::InvalidArgument("invalid horizon");
+  if (key_zipf_theta < 0) {
+    return Status::InvalidArgument("key_theta must be non-negative");
   }
   if (shards < 1 || shards > num_keys) {
     return Status::InvalidArgument(
         "shards must be in [1, num_keys]: a shard without keys has no work "
         "and a key cannot span shards");
   }
-  if (scheme == experiment::Scheme::kAdaptive &&
-      (adaptive.demand_window <= 0.0 ||
-       adaptive.cup_enter_per_update <= 0.0 ||
-       adaptive.dup_enter_per_update < adaptive.cup_enter_per_update ||
-       adaptive.exit_fraction <= 0.0 || adaptive.exit_fraction >= 1.0)) {
-    return Status::InvalidArgument("invalid adaptive controller options");
-  }
-  DUP_RETURN_IF_ERROR(faults.Validate());
   return Status::OK();
 }
 

@@ -8,6 +8,7 @@
 
 #include "chord/ring.h"
 #include "experiment/config.h"
+#include "experiment/config_keys.h"
 #include "metrics/recorder.h"
 #include "metrics/summary.h"
 #include "net/fault_injection.h"
@@ -16,6 +17,7 @@
 #include "proto/tree_protocol_base.h"
 #include "sim/engine.h"
 #include "topo/tree.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "workload/arrivals.h"
 #include "workload/update_schedule.h"
@@ -71,6 +73,24 @@ struct MultiKeyConfig {
 
   util::Status Validate() const;
 };
+
+/// The ExperimentConfig keys (experiment/config_keys.h) a multikey run
+/// honours: exactly the fields FromExperimentConfig carries over.
+const std::vector<std::string_view>& MultiKeyConfigKeys();
+
+/// The engine shard count key of dupsim keys=K mode and the multikey
+/// benches.
+inline constexpr experiment::ToolKey kShardsKey{
+    "shards", "engine shards the keys are partitioned over [1]",
+    experiment::ValueKind::kPositiveCount, "DUP_SHARDS"};
+
+/// A MultiKeyConfig carrying the MultiKeyConfigKeys() fields of `config`;
+/// num_keys, key_zipf_theta, shards and jobs keep their defaults.
+MultiKeyConfig FromExperimentConfig(const experiment::ExperimentConfig& config);
+
+/// The manifest config block of a multikey run: the MultiKeyConfigKeys()
+/// under their command-line names, plus keys and key_theta.
+util::JsonValue ManifestConfig(const MultiKeyConfig& config);
 
 /// Per-key outcome.
 struct KeyStats {

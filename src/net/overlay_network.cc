@@ -78,7 +78,7 @@ void OverlayNetwork::OnSimEvent(uint32_t code, uint64_t arg) {
 
 void OverlayNetwork::SendMultiHop(const Message& message,
                                   uint32_t extra_hops) {
-  DUP_CHECK(sink_ != nullptr || handler_ != nullptr) << "no handler installed";
+  DUP_CHECK(sink_ != nullptr) << "no message sink installed";
   DUP_CHECK_NE(message.to, kInvalidNode);
   if (faults_.reliable() && NeedsAck(message.type) && message.seq == 0) {
     const uint64_t seq = ++next_seq_;
@@ -193,11 +193,7 @@ void OverlayNetwork::Deliver(const Message& message) {
   }
   // Dispatch after acking: a retransmitted message that raced its ack may
   // arrive more than once, so protocols see at-least-once delivery.
-  if (sink_ != nullptr) {
-    sink_->OnMessage(message);
-  } else {
-    handler_(message);
-  }
+  sink_->OnMessage(message);
 }
 
 void OverlayNetwork::ScheduleRetry(uint64_t seq) {

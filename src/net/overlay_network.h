@@ -64,7 +64,6 @@ class MessageObserver {
 /// route-vector capacities have warmed up.
 class OverlayNetwork : public sim::EventTarget {
  public:
-  using Handler = std::function<void(const Message&)>;
   /// Test seam: returns true to force-drop a message in flight.
   using LossFilter = std::function<bool(const Message&)>;
 
@@ -74,14 +73,9 @@ class OverlayNetwork : public sim::EventTarget {
   OverlayNetwork(const OverlayNetwork&) = delete;
   OverlayNetwork& operator=(const OverlayNetwork&) = delete;
 
-  /// Installs the dispatch point for delivered messages as a virtual-call
-  /// interface (the protocol under simulation). Preferred over
-  /// set_handler(); when both are set the sink wins.
+  /// Installs the dispatch point for delivered messages (the protocol
+  /// under simulation). Must be set before the first send.
   void set_sink(MessageSink* sink) { sink_ = sink; }
-
-  /// Installs a closure dispatch point for delivered messages. Fallback
-  /// seam for tests and ad-hoc harnesses; see set_sink().
-  void set_handler(Handler handler) { handler_ = std::move(handler); }
 
   /// Typed event dispatch (delivery / retry timers). Internal — only the
   /// sim engine calls this.
@@ -207,7 +201,6 @@ class OverlayNetwork : public sim::EventTarget {
   metrics::Recorder* recorder_;
   double mean_hop_latency_;
   MessageSink* sink_ = nullptr;
-  Handler handler_;
   MessageObserver* observer_ = nullptr;
   Transport* transport_ = nullptr;
   bool fifo_pairs_ = true;

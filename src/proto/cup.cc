@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/check.h"
+#include "util/str.h"
 
 namespace dupnet::proto {
 
@@ -19,6 +20,16 @@ std::string_view CupPushPolicyToString(CupPushPolicy policy) {
       return "investment-return";
   }
   return "unknown";
+}
+
+util::Result<CupPushPolicy> ParseCupPushPolicy(std::string_view name) {
+  for (CupPushPolicy policy :
+       {CupPushPolicy::kDemandWindow, CupPushPolicy::kPopularityThreshold,
+        CupPushPolicy::kInvestmentReturn}) {
+    if (name == CupPushPolicyToString(policy)) return policy;
+  }
+  return util::Status::InvalidArgument(util::StrFormat(
+      "unknown cup_policy \"%s\"", std::string(name).c_str()));
 }
 
 CupProtocol::CupProtocol(net::OverlayNetwork* network,

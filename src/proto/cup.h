@@ -7,6 +7,7 @@
 #include "cache/access_tracker.h"
 #include "core/node_registry.h"
 #include "proto/tree_protocol_base.h"
+#include "util/status.h"
 
 namespace dupnet::proto {
 
@@ -29,6 +30,7 @@ enum class CupPushPolicy {
 };
 
 std::string_view CupPushPolicyToString(CupPushPolicy policy);
+util::Result<CupPushPolicy> ParseCupPushPolicy(std::string_view name);
 
 struct CupOptions {
   CupPushPolicy policy = CupPushPolicy::kDemandWindow;

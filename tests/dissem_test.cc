@@ -28,8 +28,7 @@ class DissemFixture : public ::testing::Test {
                                         &harness_.tree());
     T* raw = protocol.get();
     protocol_ = std::move(protocol);
-    harness_.network().set_handler(
-        [raw](const net::Message& m) { raw->OnMessage(m); });
+    harness_.network().set_sink(raw);
     protocol_->set_delivery_callback(
         [this](NodeId node, IndexVersion version) {
           deliveries_[version].insert(node);
@@ -211,11 +210,11 @@ TEST(DisseminationComparison, PushCostOrderingMatchesSectionV) {
   ProtocolHarness h1(MakePaperTree()), h2(MakePaperTree()),
       h3(MakePaperTree());
   ScribeDissemination scribe(&h1.network(), &h1.tree());
-  h1.network().set_handler([&](const net::Message& m) { scribe.OnMessage(m); });
+  h1.network().set_sink(&scribe);
   BayeuxDissemination bayeux(&h2.network(), &h2.tree());
-  h2.network().set_handler([&](const net::Message& m) { bayeux.OnMessage(m); });
+  h2.network().set_sink(&bayeux);
   DupDissemination dup(&h3.network(), &h3.tree());
-  h3.network().set_handler([&](const net::Message& m) { dup.OnMessage(m); });
+  h3.network().set_sink(&dup);
 
   const uint64_t scribe_hops = run(&scribe, h1);
   const uint64_t bayeux_hops = run(&bayeux, h2);
@@ -232,11 +231,11 @@ TEST(DisseminationComparison, StateOrderingMatchesSectionV) {
   ProtocolHarness h1(MakePaperTree()), h2(MakePaperTree()),
       h3(MakePaperTree());
   ScribeDissemination scribe(&h1.network(), &h1.tree());
-  h1.network().set_handler([&](const net::Message& m) { scribe.OnMessage(m); });
+  h1.network().set_sink(&scribe);
   BayeuxDissemination bayeux(&h2.network(), &h2.tree());
-  h2.network().set_handler([&](const net::Message& m) { bayeux.OnMessage(m); });
+  h2.network().set_sink(&bayeux);
   DupDissemination dup(&h3.network(), &h3.tree());
-  h3.network().set_handler([&](const net::Message& m) { dup.OnMessage(m); });
+  h3.network().set_sink(&dup);
 
   for (NodeId n = 2; n <= 8; ++n) {
     scribe.Subscribe(n);

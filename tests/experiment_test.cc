@@ -1,7 +1,14 @@
 #include "experiment/config.h"
+#include "experiment/config_keys.h"
 #include "experiment/driver.h"
+#include "experiment/manifest.h"
 #include "experiment/replicator.h"
 #include "experiment/report.h"
+
+#include <cstdlib>
+#include <limits>
+#include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -272,6 +279,185 @@ TEST(TableReportTest, RendersAlignedTable) {
 TEST(TableReportTest, Cells) {
   EXPECT_EQ(CiCell(1.25, 0.5), "1.250±0.500");
   EXPECT_EQ(PercentCell(0.423), "42.3%");
+}
+
+// --- Config key table -----------------------------------------------------
+
+KeySchema WholeTable() { return {"test", AllConfigKeys(), {}}; }
+
+util::ConfigMap Args(const std::map<std::string, std::string>& entries) {
+  util::ConfigMap args;
+  for (const auto& [key, value] : entries) args.Set(key, value);
+  return args;
+}
+
+TEST(ConfigKeysTest, EveryKeyRejectsAMalformedValueAndNamesIt) {
+  for (const ConfigKey& key : ConfigKeys()) {
+    // Paths are free text; every other key has a grammar.
+    if (key.name == "trace_out" || key.name == "wire_frame_log") continue;
+    const std::string name(key.name);
+    ExperimentConfig config;
+    const util::Status status =
+        ApplyKeys(WholeTable(), Args({{name, "1x@"}}), &config);
+    EXPECT_FALSE(status.ok()) << name;
+    EXPECT_NE(status.message().find(name + "=1x@: "), std::string::npos)
+        << status.message();
+  }
+}
+
+TEST(ConfigKeysTest, RangeChecksNameTheKey) {
+  ExperimentConfig config;
+  for (const auto& [key, value] :
+       std::map<std::string, std::string>{{"nodes", "1"},
+                                          {"can_dims", "9"},
+                                          {"lambda", "0"},
+                                          {"loss_rate", "1.5"},
+                                          {"exit_fraction", "1"},
+                                          {"wire_port", "65536"},
+                                          {"audit_interval", "-1"},
+                                          {"ttl", "inf"}}) {
+    const util::Status status =
+        ApplyKeys(WholeTable(), Args({{key, value}}), &config);
+    EXPECT_FALSE(status.ok()) << key;
+    EXPECT_NE(status.message().find(key + "=" + value), std::string::npos)
+        << status.message();
+  }
+}
+
+TEST(ConfigKeysTest, UnknownKeyIsRejectedWithTheAcceptedKeys) {
+  ExperimentConfig config;
+  const util::Status status =
+      ApplyKeys(WholeTable(), Args({{"bogus_key", "1"}}), &config);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(
+      status.message().find("test does not accept key \"bogus_key\""),
+      std::string::npos);
+  EXPECT_NE(status.message().find("network size n [4096]"),
+            std::string::npos)
+      << status.message();
+}
+
+TEST(ConfigKeysTest, TableKeyOutsideTheSchemaIsRejected) {
+  const KeySchema schema{"narrow mode", {"nodes"}, {}};
+  ExperimentConfig config;
+  const util::Status status =
+      ApplyKeys(schema, Args({{"audit", "paranoid"}}), &config);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(
+      status.message().find("narrow mode does not accept key \"audit\""),
+      std::string::npos)
+      << status.message();
+  EXPECT_EQ(config.audit_mode, audit::AuditMode::kOff);
+}
+
+TEST(ConfigKeysTest, ToolDefaultsSurviveAbsentKeys) {
+  ExperimentConfig config;
+  config.num_nodes = 64;
+  config.faults.retry_max = 3;
+  ASSERT_TRUE(
+      ApplyKeys(WholeTable(), Args({{"ttl", "60"}}), &config).ok());
+  EXPECT_EQ(config.num_nodes, 64u);
+  EXPECT_EQ(config.faults.retry_max, 3u);
+  EXPECT_EQ(config.ttl, 60.0);
+}
+
+TEST(ConfigKeysTest, ToolKeysShadowTableRowsAndAreChecked) {
+  const KeySchema schema{
+      "tool",
+      {"scheme", "nodes"},
+      {{"scheme", "scheme or all"},
+       {"reps", "reps", ValueKind::kPositiveCount}}};
+  ExperimentConfig config;
+  EXPECT_TRUE(ApplyKeys(schema, Args({{"scheme", "all"}}), &config).ok());
+  EXPECT_EQ(config.scheme, Scheme::kDup);  // Left to the tool.
+  const util::Status status =
+      ApplyKeys(schema, Args({{"reps", "0"}}), &config);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("reps=0"), std::string::npos);
+}
+
+TEST(ConfigKeysTest, EnvAliasFillsOnlyAbsentKeys) {
+  ASSERT_EQ(::setenv("DUP_AUDIT", "checkpoints", 1), 0);
+  util::ConfigMap args;
+  ASSERT_TRUE(ResolveEnvAliases(WholeTable(), &args).ok());
+  EXPECT_EQ(args.GetString("audit", ""), "checkpoints");
+  util::ConfigMap explicit_args = Args({{"audit", "paranoid"}});
+  ASSERT_TRUE(ResolveEnvAliases(WholeTable(), &explicit_args).ok());
+  EXPECT_EQ(explicit_args.GetString("audit", ""), "paranoid");
+  // A schema that does not accept the key ignores its alias.
+  util::ConfigMap narrow;
+  ASSERT_TRUE(ResolveEnvAliases({"narrow", {"nodes"}, {}}, &narrow).ok());
+  EXPECT_FALSE(narrow.Has("audit"));
+  ASSERT_EQ(::unsetenv("DUP_AUDIT"), 0);
+}
+
+TEST(ConfigKeysTest, MalformedEnvAliasFailsAndNamesTheVariable) {
+  ASSERT_EQ(::setenv("DUP_AUDIT_INTERVAL", "abc", 1), 0);
+  util::ConfigMap args;
+  const util::Status status = ResolveEnvAliases(WholeTable(), &args);
+  ASSERT_EQ(::unsetenv("DUP_AUDIT_INTERVAL"), 0);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("DUP_AUDIT_INTERVAL=abc"),
+            std::string::npos)
+      << status.message();
+  EXPECT_FALSE(args.Has("audit_interval"));
+}
+
+TEST(ConfigKeysTest, ManifestReplaysToTheSameConfig) {
+  // Every key set away from its default.
+  const std::map<std::string, std::string> values = {
+      {"scheme", "cup"},          {"topology", "chord"},
+      {"nodes", "777"},           {"degree", "7"},
+      {"can_dims", "3"},          {"lambda", "2.5"},
+      {"arrival", "pareto"},      {"alpha", "1.05"},
+      {"theta", "1.25"},          {"c", "9"},
+      {"fwd", "0"},               {"percopy", "off"},
+      {"passrep", "yes"},         {"ttl", "1800"},
+      {"lead", "30"},             {"updates", "host-driven"},
+      {"change_rate", "0.1"},     {"hoplat", "0.05"},
+      {"warmup", "100"},          {"measure", "2000"},
+      {"shortcut", "false"},      {"piggyback", "true"},
+      {"max_arity", "5"},         {"cup_policy", "investment-return"},
+      {"demand_window", "1200"},  {"cup_enter", "3"},
+      {"dup_enter", "20"},        {"exit_fraction", "0.25"},
+      {"dwell", "4"},             {"join", "0.01"},
+      {"leave", "0.02"},          {"fail", "0.03"},
+      {"detect", "15"},           {"loss_rate", "0.05"},
+      {"jitter", "0.5"},          {"retry_max", "5"},
+      {"retry_timeout", "1.5"},   {"retry_backoff", "3"},
+      {"refresh_interval", "300"}, {"seed", "18446744073709551615"},
+      {"scheduler", "heap"},      {"transport", "wire"},
+      {"wire_port", "20001"},     {"wire_pace", "400"},
+      {"wire_frame_log", "run.frames"}, {"trace_out", "run.jsonl"},
+      {"trace_sample", "2,3,4,5"}, {"audit", "paranoid"},
+      {"audit_interval", "120"}};
+  ASSERT_EQ(values.size(), ConfigKeys().size());
+  ExperimentConfig config;
+  ASSERT_TRUE(ApplyKeys(WholeTable(), Args(values), &config).ok());
+  const util::JsonValue json = ConfigToJson(config);
+  const util::JsonValue defaults = ConfigToJson(ExperimentConfig());
+  for (const ConfigKey& key : ConfigKeys()) {
+    ASSERT_NE(json.Find(key.name), nullptr) << key.name;
+    EXPECT_NE(*json.Find(key.name), *defaults.Find(key.name)) << key.name;
+  }
+
+  util::ConfigMap replay;
+  for (const auto& [name, value] : json.AsObject()) {
+    replay.Set(name, value.is_string() ? value.AsString() : value.Dump());
+  }
+  // ToString names every non-default key, so it replays too.
+  for (const ConfigKey& key : ConfigKeys()) {
+    EXPECT_NE(config.ToString().find(std::string(key.name) + "=" +
+                                     key.Format(config)),
+              std::string::npos)
+        << key.name;
+  }
+  ExperimentConfig replayed;
+  ASSERT_TRUE(ApplyKeys(WholeTable(), replay, &replayed).ok());
+  EXPECT_EQ(ConfigToJson(replayed), json);
+  EXPECT_EQ(replayed.seed, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(replayed.host_change_rate, 0.1);
+  EXPECT_EQ(replayed.trace_sample, "2,3,4,5");
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "multikey/simulation.h"
 
+#include <cstdlib>
+
 #include <gtest/gtest.h>
 
 namespace dupnet::multikey {
@@ -44,6 +46,51 @@ TEST(MultiKeyConfigTest, Rejections) {
   config = MultiKeyConfig();
   config.faults.loss_rate = 1.5;
   EXPECT_FALSE(config.Validate().ok());
+}
+
+TEST(MultiKeyConfigTest, ConvertsTheSharedExperimentKeys) {
+  const experiment::KeySchema schema{"multikey", MultiKeyConfigKeys(), {}};
+  util::ConfigMap args;
+  args.Set("nodes", "300");
+  args.Set("theta", "1.1");
+  args.Set("loss_rate", "0.1");
+  args.Set("max_arity", "3");
+  args.Set("dwell", "5");
+  args.Set("seed", "9");
+  experiment::ExperimentConfig shared;
+  ASSERT_TRUE(experiment::ApplyKeys(schema, args, &shared).ok());
+  MultiKeyConfig config = FromExperimentConfig(shared);
+  EXPECT_EQ(config.num_nodes, 300u);
+  EXPECT_EQ(config.node_zipf_theta, 1.1);
+  EXPECT_EQ(config.faults.loss_rate, 0.1);
+  EXPECT_EQ(config.dup.max_arity, 3u);
+  EXPECT_EQ(config.adaptive.dwell_updates, 5u);
+  EXPECT_EQ(config.seed, 9u);
+
+  config.num_keys = 12;
+  config.key_zipf_theta = 0.5;
+  const util::JsonValue json = ManifestConfig(config);
+  for (std::string_view key : MultiKeyConfigKeys()) {
+    EXPECT_NE(json.Find(key), nullptr) << key;
+  }
+  EXPECT_EQ(json.Find("nodes")->AsDouble(), 300.0);
+  EXPECT_EQ(json.Find("theta")->AsDouble(), 1.1);
+  EXPECT_EQ(json.Find("keys")->AsDouble(), 12.0);
+  EXPECT_EQ(json.Find("key_theta")->AsDouble(), 0.5);
+}
+
+TEST(MultiKeyConfigTest, ShardsAliasGoesThroughTheKeyCheck) {
+  const experiment::KeySchema schema{"multikey", {}, {kShardsKey}};
+  util::ConfigMap args;
+  ASSERT_EQ(::setenv("DUP_SHARDS", "3x", 1), 0);
+  const util::Status bad = experiment::ResolveEnvAliases(schema, &args);
+  ASSERT_EQ(::setenv("DUP_SHARDS", "3", 1), 0);
+  const util::Status good = experiment::ResolveEnvAliases(schema, &args);
+  ASSERT_EQ(::unsetenv("DUP_SHARDS"), 0);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.message().find("DUP_SHARDS=3x"), std::string::npos);
+  ASSERT_TRUE(good.ok());
+  EXPECT_EQ(args.GetInt("shards", 1), 3);
 }
 
 TEST(MultiKeyTest, RunsAndReportsPerKeyStats) {

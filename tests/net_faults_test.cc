@@ -22,9 +22,16 @@
 namespace dupnet::net {
 namespace {
 
-struct DeliveryLog {
+/// Message sink logging every delivery and its time.
+struct DeliveryLog : public MessageSink {
+  const sim::Engine* engine = nullptr;
   std::vector<Message> delivered;
   std::vector<sim::SimTime> times;
+
+  void OnMessage(const Message& m) override {
+    delivered.push_back(m);
+    times.push_back(engine->Now());
+  }
 };
 
 /// One self-contained network whose deliveries are logged.
@@ -33,10 +40,8 @@ class Fixture {
   explicit Fixture(uint64_t seed) : rng_(seed) {
     network_ = std::make_unique<OverlayNetwork>(&engine_, &rng_, &recorder_,
                                                 /*mean_hop_latency=*/0.1);
-    network_->set_handler([this](const Message& m) {
-      log_.delivered.push_back(m);
-      log_.times.push_back(engine_.Now());
-    });
+    log_.engine = &engine_;
+    network_->set_sink(&log_);
   }
 
   void Send(MessageType type, NodeId from, NodeId to) {

@@ -12,12 +12,13 @@
 namespace dupnet::net {
 namespace {
 
-class OverlayNetworkTest : public ::testing::Test {
+class OverlayNetworkTest : public ::testing::Test, public MessageSink {
  protected:
   OverlayNetworkTest() : rng_(1), network_(&engine_, &rng_, &recorder_, 0.1) {
-    network_.set_handler(
-        [this](const Message& m) { delivered_.push_back(m); });
+    network_.set_sink(this);
   }
+
+  void OnMessage(const Message& m) override { delivered_.push_back(m); }
 
   Message MakeMessage(MessageType type, NodeId from, NodeId to) {
     Message m;
@@ -216,13 +217,18 @@ TEST_F(OverlayNetworkTest, MeanLatencyApproximatelyExponential) {
   util::Rng rng2(9);
   metrics::Recorder rec2;
   OverlayNetwork net2(&engine2, &rng2, &rec2, 0.1);
-  double last = 0;
-  double sum = 0;
-  int count = 0;
-  net2.set_handler([&](const Message&) {
-    sum += engine2.Now() - last;
-    ++count;
-  });
+  // Every send happens at t=0, so a delivery's time is its latency.
+  struct LatencySink : public MessageSink {
+    const sim::Engine* engine = nullptr;
+    double sum = 0;
+    int count = 0;
+    void OnMessage(const Message&) override {
+      sum += engine->Now();
+      ++count;
+    }
+  } sink;
+  sink.engine = &engine2;
+  net2.set_sink(&sink);
   for (int i = 0; i < n; ++i) {
     Message m;
     m.type = MessageType::kRequest;
@@ -231,8 +237,8 @@ TEST_F(OverlayNetworkTest, MeanLatencyApproximatelyExponential) {
     net2.Send(std::move(m));            // queueing effect.
   }
   engine2.Run();
-  EXPECT_EQ(count, n);
-  EXPECT_NEAR(sum / count, 0.1, 0.01);
+  EXPECT_EQ(sink.count, n);
+  EXPECT_NEAR(sink.sum / sink.count, 0.1, 0.01);
 }
 
 TEST_F(OverlayNetworkTest, MessagesSentCounter) {

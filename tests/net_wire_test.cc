@@ -293,8 +293,12 @@ TEST(UdpTransportTest, LoopbackWireDeliversThroughRealSocket) {
   util::Rng rng(7);
   metrics::Recorder recorder;
   OverlayNetwork network(&engine, &rng, &recorder, 0.1);
-  std::vector<Message> delivered;
-  network.set_handler([&](const Message& m) { delivered.push_back(m); });
+  struct Log : public MessageSink {
+    std::vector<Message> messages;
+    void OnMessage(const Message& m) override { messages.push_back(m); }
+  } log;
+  network.set_sink(&log);
+  const std::vector<Message>& delivered = log.messages;
 
   UdpTransport transport;
   UdpTransport::Options options;

@@ -54,7 +54,7 @@ TEST(RunManifestTest, RoundTripsThroughJson) {
   const util::JsonValue* scheme = parsed->config.Find("scheme");
   ASSERT_NE(scheme, nullptr);
   EXPECT_EQ(scheme->AsString(), "cup");
-  const util::JsonValue* nodes = parsed->config.Find("num_nodes");
+  const util::JsonValue* nodes = parsed->config.Find("nodes");
   ASSERT_NE(nodes, nullptr);
   EXPECT_EQ(nodes->AsDouble(), 512.0);
 }

@@ -46,8 +46,7 @@ class ProtocolHarness {
   /// Routes delivered messages into `protocol`.
   void Attach(proto::TreeProtocolBase* protocol) {
     protocol_ = protocol;
-    network_.set_handler(
-        [protocol](const net::Message& msg) { protocol->OnMessage(msg); });
+    network_.set_sink(protocol);
   }
 
   /// Runs the event loop dry (the network becomes quiescent).

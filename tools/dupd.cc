@@ -14,12 +14,10 @@
 // frame re-encoded and byte-compared in flight — a violation of the wire
 // contract aborts the rank.
 //
-// Keys (defaults in brackets): rank[0] peers[required] scheme[dup]
-// nodes[64] degree[4] lambda[5] theta[0.8] c[2] ttl[60] lead[5]
-// hoplat[0.01] warmup[0] measure[30] seed[42] pace[200] poll_ms[1]
-// settle_ms[300] max_wall_ms[120000] retry_max[3] retry_timeout[2]
-// retry_backoff[2] refresh_interval[0] frame_log[] trace_out[]
-// trace_sample[1] stats_json[].
+// Simulation keys are rows of the config key table
+// (src/experiment/config_keys.cc), with cluster-sized defaults set below;
+// kSchema lists them with the rank's own keys. An unknown or malformed
+// key exits with status 2 and the accepted keys with their doc lines.
 //
 // frame_log=PATH appends every transmitted ('T') and received ('R') frame
 // as [dir][u32 len LE][bytes] records — tools/dupwire validates such logs
@@ -35,6 +33,7 @@
 #include <vector>
 
 #include "experiment/config.h"
+#include "experiment/config_keys.h"
 #include "experiment/driver.h"
 #include "experiment/realtime_runner.h"
 #include "net/udp_transport.h"
@@ -46,6 +45,23 @@
 namespace {
 
 using namespace dupnet;
+using experiment::ValueKind;
+
+const experiment::KeySchema kSchema{
+    "dupd",
+    {"scheme", "nodes", "degree", "lambda", "theta", "c", "ttl", "lead",
+     "hoplat", "warmup", "measure", "seed", "retry_max", "retry_timeout",
+     "retry_backoff", "refresh_interval", "trace_out", "trace_sample"},
+    {{"rank", "this process's index into peers [0]", ValueKind::kCount},
+     {"peers", "H0:P0,H1:P1,... one UDP endpoint per rank (required)"},
+     {"pace", "simulated s per wall-clock s [200]", ValueKind::kPositive},
+     {"poll_ms", "socket poll timeout, ms [1]", ValueKind::kCount},
+     {"settle_ms", "quiet wall time that ends the drain, ms [300]",
+      ValueKind::kCount},
+     {"max_wall_ms", "wall-clock cap on the run, ms [120000]",
+      ValueKind::kCount},
+     {"frame_log", "append every sent/received frame here"},
+     {"stats_json", "write per-rank counters here"}}};
 
 std::vector<std::string> SplitPeers(const std::string& spec) {
   std::vector<std::string> peers;
@@ -75,40 +91,34 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Cluster-sized defaults; reliable delivery is on, since over real
+  // sockets the FaultConfig ack/retry machinery is what recovers dropped
+  // datagrams.
+  experiment::ExperimentConfig config;
+  config.num_nodes = 64;
+  config.lambda = 5.0;
+  config.threshold_c = 2;
+  config.ttl = 60.0;
+  config.push_lead = 5.0;
+  config.hop_latency_mean = 0.01;
+  config.warmup_time = 0.0;
+  config.measure_time = 30.0;
+  config.faults.retry_max = 3;
+  if (util::Status status = experiment::ApplyKeys(kSchema, *args, &config);
+      !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.message().c_str());
+    return 2;
+  }
+  DUP_CHECK_OK(config.Validate());
+
   DUP_CHECK(args->Has("peers")) << "peers=H0:P0,H1:P1,... is required";
   const std::vector<std::string> peers =
       SplitPeers(args->GetString("peers", ""));
   const int procs = static_cast<int>(peers.size());
   const int64_t rank_arg = args->GetInt("rank", 0);
-  DUP_CHECK(rank_arg >= 0 && rank_arg < procs)
+  DUP_CHECK(rank_arg < procs)
       << "rank must be in [0, " << procs << "), got " << rank_arg;
   const int rank = static_cast<int>(rank_arg);
-
-  experiment::ExperimentConfig config;
-  auto scheme = experiment::ParseScheme(args->GetString("scheme", "dup"));
-  DUP_CHECK(scheme.ok()) << scheme.status().ToString();
-  config.scheme = *scheme;
-  config.num_nodes = static_cast<size_t>(args->GetInt("nodes", 64));
-  config.max_degree = static_cast<int>(args->GetInt("degree", 4));
-  config.lambda = args->GetDouble("lambda", 5.0);
-  config.zipf_theta = args->GetDouble("theta", 0.8);
-  config.threshold_c = static_cast<uint32_t>(args->GetInt("c", 2));
-  config.ttl = args->GetDouble("ttl", 60.0);
-  config.push_lead = args->GetDouble("lead", 5.0);
-  config.hop_latency_mean = args->GetDouble("hoplat", 0.01);
-  config.warmup_time = args->GetDouble("warmup", 0.0);
-  config.measure_time = args->GetDouble("measure", 30.0);
-  config.seed = static_cast<uint64_t>(args->GetInt("seed", 42));
-  // Reliable delivery is on by default: over real sockets, the existing
-  // FaultConfig ack/retry machinery is what recovers dropped datagrams.
-  config.faults.retry_max =
-      static_cast<uint32_t>(args->GetInt("retry_max", 3));
-  config.faults.retry_timeout = args->GetDouble("retry_timeout", 2.0);
-  config.faults.retry_backoff = args->GetDouble("retry_backoff", 2.0);
-  config.faults.refresh_interval = args->GetDouble("refresh_interval", 0.0);
-  config.trace_path = args->GetString("trace_out", "");
-  config.trace_sample = args->GetString("trace_sample", "1");
-  DUP_CHECK_OK(config.Validate());
 
   net::UdpTransport transport;
   net::UdpTransport::Options topts;

@@ -2,78 +2,26 @@
 //
 //   dupsim [key=value ...]
 //
-// Runs one scheme (scheme=pcx|cup|dup) or all three (scheme=all), with any
-// combination of the paper's parameters, replications with 95% CIs, and
-// optional CSV output for downstream plotting:
+// Runs one scheme (scheme=pcx|cup|dup|adaptive) or the paper's three
+// (scheme=all) with replications, 95% CIs and optional CSV/JSON output:
 //
 //   dupsim scheme=all nodes=4096 lambda=10 reps=5 csv=/tmp/fig4_point.csv
 //   dupsim scheme=dup topology=chord lambda=3 theta=1.5
 //   dupsim scheme=dup join=0.05 leave=0.02 fail=0.02   # churn
-//
-// Keys (defaults in brackets): scheme[dup] topology[random-tree|chord|can]
-// nodes[4096] degree[4] can_dims[2] lambda[1] arrival[exponential|pareto]
-// alpha[1.2] theta[0.8] c[6] ttl[3600] lead[60] hoplat[0.1] warmup[3600]
-// measure[10620] reps[3] jobs[1] seed[42] shortcut[1] piggyback[0]
-// percopy[1] passrep[0] fwd[1] cup_policy[demand-window] join/leave/fail[0]
-// detect[30] csv[] json[] scheduler[calendar|heap] (DUP_SCHEDULER is the
-// env fallback; both schedulers are bit-identical, see docs/simulator.md)
-//
-// DUP fan-out load balancing (docs/adaptive.md): max_arity[0] caps the
-// number of subscribers any node pushes to directly (0 = the paper's
-// unbounded fan-out); overflow is delegated over a deterministic cap-ary
-// relay tree.
-//
-// Adaptive per-key scheme migration (docs/adaptive.md): scheme=adaptive
-// runs the regime controller that migrates the key online between PCX,
-// CUP and DUP by its measured queries-per-update ratio. Knobs:
-// cup_enter[2] dup_enter[16] exit_fraction[0.5] dwell[2]
-// demand_window[3600]. scheme=all stays the paper's three static schemes
-// (baseline compatibility); request adaptive explicitly.
-//
-// Observability (docs/observability.md): trace_out[] streams every
-// observed message event as JSONL (decimated by trace_sample[1], "N" or
-// "req,rep,push,ctl"); the DUP_TRACE_OUT / DUP_TRACE_SAMPLE environment
-// variables are fallbacks for the same knobs. json=PATH writes the summary
-// table plus a provenance manifest (commit, seed, config, schema version)
-// as a machine-readable artifact for tools/benchdiff.
-//
-// Fault injection (docs/fault-injection.md): loss_rate[0] jitter[0]
-// retry_max[0] retry_timeout[2] retry_backoff[2] refresh_interval[0].
-// All-zero defaults are a strict no-op, so baseline runs stay
-// bit-identical to a build without the fault layer.
-//
-// Wire transport (docs/wire-format.md): transport[sim|wire] selects the
-// physical medium (DUP_TRANSPORT is the env fallback). transport=wire
-// ships every overlay frame through a loopback UDP socket in the packed
-// net::wire format, paced at wire_pace[200] simulated seconds per wall
-// second on port wire_port[17405] (DUP_WIRE_PORT is the env fallback),
-// optionally logging frames to wire_frame_log[] for tools/dupwire; the
-// run ends with a full invariant audit over protocol state built entirely
-// from decoded bytes. Multi-process clusters are tools/dupd's job.
-//
-// Invariant auditing (docs/invariants.md): audit[off|checkpoints|paranoid]
-// walks every node's protocol/cache state and asserts the paper's
-// structural invariants (checkpoint spacing audit_interval[ttl] seconds);
-// the DUP_AUDIT / DUP_AUDIT_INTERVAL environment variables are fallbacks
-// for the same knobs. Auditing never changes RunMetrics; a violation
-// aborts the run with the structured diagnostic.
-//
-// jobs=N fans the replications of each scheme over N worker threads
-// (jobs=0 uses every hardware thread). Results are bit-identical for any
-// jobs value: each replication is a shared-nothing simulation whose RNG
-// stream depends only on (seed, replication index).
-//
-// Multi-key mode (docs/scaling.md "Sharded runs"): passing keys=K runs K
-// keys over one Chord ring instead of the single-index experiment.
-// Additional knobs: key_theta[0.8] (popularity skew across keys) and
-// shards[1] (engine shards the keys are partitioned over; DUP_SHARDS is
-// the env fallback). Merged metrics are bit-identical for every shards
-// value; jobs=N drives the shards concurrently. Shared knobs (nodes,
-// lambda, theta, c, ttl, lead, hoplat, warmup, measure, seed, scheme,
-// fault injection) keep their meaning; reps/topology/churn/audit/trace
-// apply only to the single-key mode.
-//
 //   dupsim keys=64 shards=4 jobs=4 scheme=all nodes=1024 lambda=20
+//
+// The paper's parameters and every other ExperimentConfig knob are the
+// rows of the config key table (src/experiment/config_keys.cc), shared
+// with tools/dupd, the bench environment and run manifests; the tool keys
+// are listed below. An unknown or malformed key exits with status 2 and
+// the accepted keys with their doc lines and defaults.
+//
+// jobs=N fans the replications over N worker threads; results are
+// bit-identical for any jobs value. transport=wire runs one scheme through
+// a loopback UDP socket and audits the state built from decoded bytes
+// (docs/wire-format.md). keys=K runs K keys over one Chord ring
+// (docs/scaling.md "Sharded runs"), partitioned over shards=S engines;
+// that mode accepts only the keys a multikey run honours.
 
 #include <chrono>
 #include <cstdio>
@@ -82,6 +30,7 @@
 #include <vector>
 
 #include "experiment/config.h"
+#include "experiment/config_keys.h"
 #include "experiment/driver.h"
 #include "experiment/manifest.h"
 #include "experiment/parallel_runner.h"
@@ -99,121 +48,74 @@
 namespace {
 
 using namespace dupnet;
+using experiment::ToolKey;
+using experiment::ValueKind;
 
-experiment::ExperimentConfig BuildConfig(const util::ConfigMap& args) {
-  experiment::ExperimentConfig config;
-  config.num_nodes = static_cast<size_t>(args.GetInt("nodes", 4096));
-  config.max_degree = static_cast<int>(args.GetInt("degree", 4));
-  config.can_dims = static_cast<int>(args.GetInt("can_dims", 2));
-  config.lambda = args.GetDouble("lambda", 1.0);
-  config.pareto_alpha = args.GetDouble("alpha", 1.2);
-  config.zipf_theta = args.GetDouble("theta", 0.8);
-  config.threshold_c = static_cast<uint32_t>(args.GetInt("c", 6));
-  config.ttl = args.GetDouble("ttl", 3600.0);
-  config.push_lead = args.GetDouble("lead", 60.0);
-  config.hop_latency_mean = args.GetDouble("hoplat", 0.1);
-  config.warmup_time = args.GetDouble("warmup", 3600.0);
-  config.measure_time = args.GetDouble("measure", 10620.0);
-  config.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  config.dup.shortcut_push = args.GetBool("shortcut", true);
-  config.dup.piggyback_subscribe = args.GetBool("piggyback", false);
-  config.dup.max_arity = static_cast<uint32_t>(args.GetInt("max_arity", 0));
-  config.adaptive.demand_window = args.GetDouble("demand_window", 3600.0);
-  config.adaptive.cup_enter_per_update = args.GetDouble("cup_enter", 2.0);
-  config.adaptive.dup_enter_per_update = args.GetDouble("dup_enter", 16.0);
-  config.adaptive.exit_fraction = args.GetDouble("exit_fraction", 0.5);
-  config.adaptive.dwell_updates =
-      static_cast<uint32_t>(args.GetInt("dwell", 2));
-  config.per_copy_ttl = args.GetBool("percopy", true);
-  config.cache_passing_replies = args.GetBool("passrep", false);
-  config.count_forwarded_queries = args.GetBool("fwd", true);
-  config.churn.join_rate = args.GetDouble("join", 0.0);
-  config.churn.leave_rate = args.GetDouble("leave", 0.0);
-  config.churn.fail_rate = args.GetDouble("fail", 0.0);
-  config.churn.detect_delay = args.GetDouble("detect", 30.0);
-  config.faults.loss_rate = args.GetDouble("loss_rate", 0.0);
-  config.faults.jitter = args.GetDouble("jitter", 0.0);
-  config.faults.retry_max =
-      static_cast<uint32_t>(args.GetInt("retry_max", 0));
-  config.faults.retry_timeout = args.GetDouble("retry_timeout", 2.0);
-  config.faults.retry_backoff = args.GetDouble("retry_backoff", 2.0);
-  config.faults.refresh_interval = args.GetDouble("refresh_interval", 0.0);
+const ToolKey kSchemeKey{"scheme",
+                         "pcx|cup|dup|adaptive, or all = pcx,cup,dup [dup]"};
+const ToolKey kJobsKey{"jobs", "worker threads, 0 = one per core [1]",
+                       ValueKind::kCount};
+const ToolKey kCsvKey{"csv", "write the results table as CSV here"};
+const ToolKey kJsonKey{"json", "write the results and run manifest here"};
 
-  // Keys beat the environment so one-off overrides stay one-off.
-  const char* env_trace = std::getenv("DUP_TRACE_OUT");
-  config.trace_path =
-      args.GetString("trace_out", env_trace != nullptr ? env_trace : "");
-  const char* env_sample = std::getenv("DUP_TRACE_SAMPLE");
-  config.trace_sample =
-      args.GetString("trace_sample", env_sample != nullptr ? env_sample : "1");
-  const char* env_audit = std::getenv("DUP_AUDIT");
-  auto audit_mode = audit::ParseAuditMode(
-      args.GetString("audit", env_audit != nullptr ? env_audit : "off"));
-  DUP_CHECK(audit_mode.ok()) << audit_mode.status().ToString();
-  config.audit_mode = *audit_mode;
-  const char* env_audit_interval = std::getenv("DUP_AUDIT_INTERVAL");
-  config.audit_interval = args.GetDouble(
-      "audit_interval",
-      env_audit_interval != nullptr ? std::atof(env_audit_interval) : 0.0);
+experiment::KeySchema SingleKeySchema() {
+  return {"dupsim",
+          experiment::AllConfigKeys(),
+          {kSchemeKey,
+           {"reps", "replications per scheme [3]", ValueKind::kPositiveCount},
+           kJobsKey, kCsvKey, kJsonKey}};
+}
 
-  // Transport selection (docs/wire-format.md): sim (default) keeps the
-  // in-memory medium; wire ships every frame through a loopback UDP
-  // socket in net::wire format. A typo must not silently run the wrong
-  // medium, so malformed values are fatal, matching the bench harness's
-  // env contract.
-  const char* env_transport = std::getenv("DUP_TRANSPORT");
-  auto transport = experiment::ParseTransportKind(args.GetString(
-      "transport", env_transport != nullptr ? env_transport : "sim"));
-  DUP_CHECK(transport.ok()) << transport.status().ToString();
-  config.transport = *transport;
-  int64_t env_port_value = 17405;
-  if (const char* env_wire_port = std::getenv("DUP_WIRE_PORT")) {
-    DUP_CHECK(util::ParseInt64(env_wire_port, &env_port_value))
-        << "DUP_WIRE_PORT must be an integer, got \"" << env_wire_port
-        << "\"";
+experiment::KeySchema MultiKeySchema() {
+  return {"dupsim keys=K mode",
+          multikey::MultiKeyConfigKeys(),
+          {kSchemeKey,
+           {"keys", "number of keys K (selects this mode)",
+            ValueKind::kPositiveCount},
+           {"key_theta", "Zipf skew of popularity across keys [0.8]",
+            ValueKind::kNonNegative},
+           multikey::kShardsKey, kJobsKey, kCsvKey, kJsonKey}};
+}
+
+/// Applies `args` (plus environment aliases) onto the tool defaults in
+/// `config`; a bad key prints the error and exits with status 2.
+void ParseArgsOrExit(const experiment::KeySchema& schema,
+                     util::ConfigMap* args,
+                     experiment::ExperimentConfig* config) {
+  util::Status status = experiment::ResolveEnvAliases(schema, args);
+  if (status.ok()) status = experiment::ApplyKeys(schema, *args, config);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.message().c_str());
+    std::exit(2);
   }
-  const int64_t wire_port = args.GetInt("wire_port", env_port_value);
-  DUP_CHECK(wire_port >= 1 && wire_port <= 65535)
-      << "wire_port must be in [1, 65535], got " << wire_port;
-  config.wire_port = static_cast<int>(wire_port);
-  config.wire_pace = args.GetDouble("wire_pace", 200.0);
-  DUP_CHECK(config.wire_pace > 0.0)
-      << "wire_pace must be positive, got " << config.wire_pace;
-  config.wire_frame_log = args.GetString("wire_frame_log", "");
+}
 
-  const char* env_scheduler = std::getenv("DUP_SCHEDULER");
-  auto scheduler = experiment::ParseScheduler(args.GetString(
-      "scheduler", env_scheduler != nullptr ? env_scheduler : "calendar"));
-  DUP_CHECK(scheduler.ok()) << scheduler.status().ToString();
-  config.scheduler = *scheduler;
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
-  auto topology =
-      experiment::ParseTopology(args.GetString("topology", "random-tree"));
-  DUP_CHECK(topology.ok()) << topology.status().ToString();
-  config.topology = *topology;
-
-  auto arrival =
-      experiment::ParseArrival(args.GetString("arrival", "exponential"));
-  DUP_CHECK(arrival.ok()) << arrival.status().ToString();
-  config.arrival = *arrival;
-
-  auto update_mode =
-      experiment::ParseUpdateMode(args.GetString("updates", "ttl-aligned"));
-  DUP_CHECK(update_mode.ok()) << update_mode.status().ToString();
-  config.update_mode = *update_mode;
-  config.host_change_rate = args.GetDouble("change_rate", 1.0 / 3540.0);
-
-  const std::string policy = args.GetString("cup_policy", "demand-window");
-  if (policy == "demand-window") {
-    config.cup.policy = proto::CupPushPolicy::kDemandWindow;
-  } else if (policy == "popularity-threshold") {
-    config.cup.policy = proto::CupPushPolicy::kPopularityThreshold;
-  } else if (policy == "investment-return") {
-    config.cup.policy = proto::CupPushPolicy::kInvestmentReturn;
-  } else {
-    DUP_CHECK(false) << "unknown cup_policy \"" << policy << "\"";
+/// Writes the csv= and json= outputs, if requested.
+void WriteOutputs(const util::ConfigMap& args, const util::CsvWriter& csv,
+                  const metrics::RunManifest& manifest,
+                  util::JsonValue schemes) {
+  const std::string csv_path = args.GetString("csv", "");
+  if (!csv_path.empty()) {
+    DUP_CHECK_OK(csv.WriteToFile(csv_path));
+    std::printf("\nwrote %s\n", csv_path.c_str());
   }
-  return config;
+  const std::string json_path = args.GetString("json", "");
+  if (json_path.empty()) return;
+  util::JsonValue doc = util::JsonValue::MakeObject();
+  doc.Set("manifest", manifest.ToJson());
+  doc.Set("schemes", std::move(schemes));
+  const std::string text = doc.Dump(2) + "\n";
+  std::FILE* file = std::fopen(json_path.c_str(), "w");
+  DUP_CHECK(file != nullptr) << "cannot write " << json_path;
+  std::fwrite(text.data(), 1, text.size(), file);
+  std::fclose(file);
+  std::printf("wrote %s\n", json_path.c_str());
 }
 
 std::vector<experiment::Scheme> SchemesFor(const std::string& name) {
@@ -273,10 +175,7 @@ int RunWire(const util::ConfigMap& args,
   experiment::RealtimeRunner runner(&driver, &transport, ropts);
   const auto wall_start = std::chrono::steady_clock::now();
   DUP_CHECK_OK(runner.Run(config.warmup_time + config.measure_time));
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  const double wall_seconds = SecondsSince(wall_start);
 
   // Every frame was round-trip-verified in flight; now assert the state
   // they built satisfies the paper's structural invariants.
@@ -304,48 +203,20 @@ int RunWire(const util::ConfigMap& args,
 
 /// keys=K mode: one sharded multi-key run per requested scheme, reported
 /// through the same table/json conventions as the single-key path.
-int RunMultiKey(const util::ConfigMap& args) {
-  multikey::MultiKeyConfig base;
-  base.num_keys = static_cast<size_t>(args.GetInt("keys", 16));
-  base.num_nodes = static_cast<size_t>(args.GetInt("nodes", 1024));
-  base.lambda = args.GetDouble("lambda", 10.0);
-  base.key_zipf_theta = args.GetDouble("key_theta", 0.8);
-  base.node_zipf_theta = args.GetDouble("theta", 0.8);
-  base.threshold_c = static_cast<uint32_t>(args.GetInt("c", 6));
-  base.ttl = args.GetDouble("ttl", 3600.0);
-  base.push_lead = args.GetDouble("lead", 60.0);
-  base.hop_latency_mean = args.GetDouble("hoplat", 0.1);
-  base.warmup_time = args.GetDouble("warmup", 3600.0);
-  base.measure_time = args.GetDouble("measure", 10620.0);
-  base.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  base.dup.shortcut_push = args.GetBool("shortcut", true);
-  base.dup.piggyback_subscribe = args.GetBool("piggyback", false);
-  base.dup.max_arity = static_cast<uint32_t>(args.GetInt("max_arity", 0));
-  base.adaptive.demand_window = args.GetDouble("demand_window", 3600.0);
-  base.adaptive.cup_enter_per_update = args.GetDouble("cup_enter", 2.0);
-  base.adaptive.dup_enter_per_update = args.GetDouble("dup_enter", 16.0);
-  base.adaptive.exit_fraction = args.GetDouble("exit_fraction", 0.5);
-  base.adaptive.dwell_updates =
-      static_cast<uint32_t>(args.GetInt("dwell", 2));
-  base.faults.loss_rate = args.GetDouble("loss_rate", 0.0);
-  base.faults.jitter = args.GetDouble("jitter", 0.0);
-  base.faults.retry_max =
-      static_cast<uint32_t>(args.GetInt("retry_max", 0));
-  base.faults.retry_timeout = args.GetDouble("retry_timeout", 2.0);
-  base.faults.retry_backoff = args.GetDouble("retry_backoff", 2.0);
-  base.faults.refresh_interval = args.GetDouble("refresh_interval", 0.0);
+int RunMultiKey(util::ConfigMap* args) {
+  experiment::ExperimentConfig shared;
+  shared.num_nodes = 1024;
+  shared.lambda = 10.0;
+  shared.warmup_time = 3600.0;
+  shared.measure_time = 10620.0;
+  ParseArgsOrExit(MultiKeySchema(), args, &shared);
+  multikey::MultiKeyConfig base = multikey::FromExperimentConfig(shared);
+  base.num_keys = static_cast<size_t>(args->GetInt("keys", 16));
+  base.key_zipf_theta = args->GetDouble("key_theta", 0.8);
+  base.shards = static_cast<size_t>(args->GetInt("shards", 1));
+  base.jobs = static_cast<size_t>(args->GetInt("jobs", 1));
 
-  // Keys beat the environment so one-off overrides stay one-off.
-  const char* env_shards = std::getenv("DUP_SHARDS");
-  const int64_t shards_arg = args.GetInt(
-      "shards", env_shards != nullptr ? std::atoll(env_shards) : 1);
-  DUP_CHECK(shards_arg >= 1) << "shards must be >= 1";
-  base.shards = static_cast<size_t>(shards_arg);
-  const int64_t jobs_arg = args.GetInt("jobs", 1);
-  DUP_CHECK(jobs_arg >= 0) << "jobs must be >= 0";
-  base.jobs = static_cast<size_t>(jobs_arg);
-
-  const auto schemes = SchemesFor(args.GetString("scheme", "dup"));
+  const auto schemes = SchemesFor(args->GetString("scheme", "dup"));
 
   experiment::TableReport table(
       util::StrFormat("dupsim multikey results (%zu keys, %zu nodes, "
@@ -365,10 +236,7 @@ int RunMultiKey(const util::ConfigMap& args) {
     const auto scheme_start = std::chrono::steady_clock::now();
     auto result = multikey::MultiKeySimulation::Run(config);
     DUP_CHECK(result.ok()) << result.status().ToString();
-    const double scheme_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      scheme_start)
-            .count();
+    const double scheme_seconds = SecondsSince(scheme_start);
     const std::string name(experiment::SchemeToString(scheme));
     std::printf("%s: %llu events on %zu shard(s) in %.2fs wall\n",
                 name.c_str(),
@@ -406,45 +274,18 @@ int RunMultiKey(const util::ConfigMap& args) {
     entry.Set("events_processed", result->events_processed);
     json_schemes.Set(name, std::move(entry));
   }
-  const double total_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  const double total_seconds = SecondsSince(wall_start);
   table.Print();
 
-  const std::string csv_path = args.GetString("csv", "");
-  if (!csv_path.empty()) {
-    DUP_CHECK_OK(csv.WriteToFile(csv_path));
-    std::printf("\nwrote %s\n", csv_path.c_str());
-  }
-
-  const std::string json_path = args.GetString("json", "");
-  if (!json_path.empty()) {
-    metrics::RunManifest manifest = metrics::RunManifest::Create(
-        "dupsim", "multikey:" + args.GetString("scheme", "dup"));
-    manifest.seed = base.seed;
-    manifest.jobs = base.jobs == 0
-                        ? experiment::ParallelRunner::DefaultJobs()
-                        : base.jobs;
-    manifest.shards = base.shards;
-    manifest.wall_seconds = total_seconds;
-    manifest.config.Set("num_nodes", static_cast<uint64_t>(base.num_nodes));
-    manifest.config.Set("num_keys", static_cast<uint64_t>(base.num_keys));
-    manifest.config.Set("lambda", base.lambda);
-    manifest.config.Set("key_zipf_theta", base.key_zipf_theta);
-    manifest.config.Set("node_zipf_theta", base.node_zipf_theta);
-    manifest.config.Set("warmup_time", base.warmup_time);
-    manifest.config.Set("measure_time", base.measure_time);
-    util::JsonValue doc = util::JsonValue::MakeObject();
-    doc.Set("manifest", manifest.ToJson());
-    doc.Set("schemes", std::move(json_schemes));
-    const std::string text = doc.Dump(2) + "\n";
-    std::FILE* file = std::fopen(json_path.c_str(), "w");
-    DUP_CHECK(file != nullptr) << "cannot write " << json_path;
-    std::fwrite(text.data(), 1, text.size(), file);
-    std::fclose(file);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  metrics::RunManifest manifest = metrics::RunManifest::Create(
+      "dupsim", "multikey:" + args->GetString("scheme", "dup"));
+  manifest.seed = base.seed;
+  manifest.jobs = base.jobs == 0 ? experiment::ParallelRunner::DefaultJobs()
+                                 : base.jobs;
+  manifest.shards = base.shards;
+  manifest.wall_seconds = total_seconds;
+  manifest.config = multikey::ManifestConfig(base);
+  WriteOutputs(*args, csv, manifest, std::move(json_schemes));
   return 0;
 }
 
@@ -458,19 +299,22 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (args->Has("keys")) return RunMultiKey(*args);
+  if (args->Has("keys")) return RunMultiKey(&*args);
 
-  const experiment::ExperimentConfig base = BuildConfig(*args);
+  // A shorter horizon than the struct's (DESIGN.md §2): one warm-up TTL,
+  // then three TTL-aligned update periods.
+  experiment::ExperimentConfig base;
+  base.warmup_time = 3600.0;
+  base.measure_time = 10620.0;
+  ParseArgsOrExit(SingleKeySchema(), &*args, &base);
   if (base.transport == experiment::TransportKind::kWire) {
     return RunWire(*args, base);
   }
   const auto schemes = SchemesFor(args->GetString("scheme", "dup"));
   const size_t reps = static_cast<size_t>(args->GetInt("reps", 3));
-  const int64_t jobs_arg = args->GetInt("jobs", 1);
-  DUP_CHECK(jobs_arg >= 0) << "jobs must be >= 0";
-  const size_t jobs = jobs_arg == 0
-                          ? experiment::ParallelRunner::DefaultJobs()
-                          : static_cast<size_t>(jobs_arg);
+  const size_t jobs_arg = static_cast<size_t>(args->GetInt("jobs", 1));
+  const size_t jobs =
+      jobs_arg == 0 ? experiment::ParallelRunner::DefaultJobs() : jobs_arg;
 
   experiment::TableReport table(
       "dupsim results (" + base.ToString() + ")",
@@ -492,10 +336,7 @@ int main(int argc, char** argv) {
     const auto scheme_start = std::chrono::steady_clock::now();
     auto summary = experiment::Replicator::Run(config, reps, jobs);
     DUP_CHECK(summary.ok()) << summary.status().ToString();
-    const double scheme_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      scheme_start)
-            .count();
+    const double scheme_seconds = SecondsSince(scheme_start);
     total_runs += reps;
     std::printf("%s: %zu reps on %zu thread(s) in %.2fs wall\n",
                 std::string(experiment::SchemeToString(scheme)).c_str(), reps,
@@ -541,10 +382,7 @@ int main(int argc, char** argv) {
     entry.Set("total_queries", summary->total_queries);
     json_schemes.Set(name, std::move(entry));
   }
-  const double total_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  const double total_seconds = SecondsSince(wall_start);
   std::printf("total: %zu runs in %.2fs wall (%.2f runs/s, jobs=%zu)\n\n",
               total_runs, total_seconds,
               total_seconds > 0.0
@@ -560,26 +398,9 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  const std::string csv_path = args->GetString("csv", "");
-  if (!csv_path.empty()) {
-    DUP_CHECK_OK(csv.WriteToFile(csv_path));
-    std::printf("\nwrote %s\n", csv_path.c_str());
-  }
-
-  const std::string json_path = args->GetString("json", "");
-  if (!json_path.empty()) {
-    metrics::RunManifest manifest = experiment::MakeRunManifest(
-        "dupsim", args->GetString("scheme", "dup"), base, jobs);
-    manifest.wall_seconds = total_seconds;
-    util::JsonValue doc = util::JsonValue::MakeObject();
-    doc.Set("manifest", manifest.ToJson());
-    doc.Set("schemes", std::move(json_schemes));
-    const std::string text = doc.Dump(2) + "\n";
-    std::FILE* file = std::fopen(json_path.c_str(), "w");
-    DUP_CHECK(file != nullptr) << "cannot write " << json_path;
-    std::fwrite(text.data(), 1, text.size(), file);
-    std::fclose(file);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  metrics::RunManifest manifest = experiment::MakeRunManifest(
+      "dupsim", args->GetString("scheme", "dup"), base, jobs);
+  manifest.wall_seconds = total_seconds;
+  WriteOutputs(*args, csv, manifest, std::move(json_schemes));
   return 0;
 }
