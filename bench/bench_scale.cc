@@ -18,8 +18,10 @@
 // A scheduler-only microbench rides along: for each N it holds N pending
 // events in a bare sim::EventQueue and measures steady pop/push cycles
 // under BOTH the calendar scheduler and the reference binary heap, so the
-// engine-level speedup is visible separately from protocol work. The
-// whole-run sweep itself honours DUP_SCHEDULER=heap|calendar (default
+// engine-level speedup is visible separately from protocol work. A mixed
+// arm (1024 and 10240 held, 5% and 50% near holds) repeats it with the
+// paper's two-mode event horizon: hop deliveries next to timers hundreds
+// of seconds out. The whole-run sweep itself honours DUP_SCHEDULER=heap|calendar (default
 // calendar) for A/B comparisons.
 //
 // The JSON record lands in results/bench_scale.json (override with
@@ -148,8 +150,12 @@ experiment::ExperimentConfig ScaleConfig(experiment::Scheme scheme,
 
 // --------------------------------------------------------------------------
 // Scheduler-only microbench: a bare EventQueue holding `held` pending
-// events, cycled pop -> push (hold model, exponential inter-event gaps).
-// Isolates the engine's scheduling cost from protocol dispatch.
+// events, cycled pop -> push (hold model). Isolates the engine's
+// scheduling cost from protocol dispatch. Two hold distributions: the
+// uniform-rate one (exponential gaps, the pinned `scheduler_sweep`) and
+// the paper's mixed horizon (`scheduler_mixed_sweep`): a fraction `near`
+// of holds are Exp(0.1 s) hop deliveries, the rest U(100, 600) s TTL,
+// push-lead and refresh timers.
 // --------------------------------------------------------------------------
 
 struct NullTarget : sim::EventTarget {
@@ -159,6 +165,7 @@ struct NullTarget : sim::EventTarget {
 struct SchedulerPoint {
   size_t held = 0;
   const char* kind = "";
+  double near = 0.0;  ///< Mixed arm only: fraction of near holds.
   uint64_t ops = 0;
   double wall_seconds = 0.0;
   double ops_per_second() const {
@@ -166,19 +173,17 @@ struct SchedulerPoint {
   }
 };
 
-SchedulerPoint MeasureSchedulerOnly(sim::SchedulerKind kind, const char* name,
-                                    size_t held) {
+/// Prefills the queue with `held` events at prefill(rng), then times 2^22
+/// pop -> push cycles, each re-pushing the popped event hold(rng) later.
+template <typename Prefill, typename Hold>
+SchedulerPoint MeasureHoldModel(sim::SchedulerKind kind, const char* name,
+                                size_t held, Prefill prefill, Hold hold) {
   sim::EventQueue queue;
   queue.set_scheduler(kind);
   queue.Reserve(held);
   NullTarget target;
   util::Rng rng(0x5eedu + static_cast<uint64_t>(held));
-  // Mean gap 1/held keeps the pending set spanning ~1 sim-second at every
-  // scale, like a constant-rate simulation holding `held` events.
-  const double mean_gap = 1.0 / static_cast<double>(held);
-  for (size_t i = 0; i < held; ++i) {
-    queue.Push(rng.UniformDouble(0.0, 1.0), &target, 0, i);
-  }
+  for (size_t i = 0; i < held; ++i) queue.Push(prefill(rng), &target, 0, i);
 
   SchedulerPoint point;
   point.held = held;
@@ -187,12 +192,35 @@ SchedulerPoint MeasureSchedulerOnly(sim::SchedulerKind kind, const char* name,
   const auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < point.ops; ++i) {
     const sim::Event e = queue.Pop();
-    queue.Push(e.time + rng.Exponential(mean_gap) * static_cast<double>(held),
-               &target, 0, e.arg);
+    queue.Push(e.time + hold(rng), &target, 0, e.arg);
   }
   const auto end = std::chrono::steady_clock::now();
   point.wall_seconds = std::chrono::duration<double>(end - start).count();
   while (!queue.empty()) queue.Pop();
+  return point;
+}
+
+SchedulerPoint MeasureSchedulerOnly(sim::SchedulerKind kind, const char* name,
+                                    size_t held) {
+  // Mean gap 1/held keeps the pending set spanning ~1 sim-second at every
+  // scale, like a constant-rate simulation holding `held` events.
+  const double mean_gap = 1.0 / static_cast<double>(held);
+  return MeasureHoldModel(
+      kind, name, held,
+      [](util::Rng& rng) { return rng.UniformDouble(0.0, 1.0); },
+      [&](util::Rng& rng) {
+        return rng.Exponential(mean_gap) * static_cast<double>(held);
+      });
+}
+
+SchedulerPoint MeasureSchedulerMixed(sim::SchedulerKind kind, const char* name,
+                                     size_t held, double near) {
+  const auto hold = [near](util::Rng& rng) {
+    return rng.Bernoulli(near) ? rng.Exponential(0.1)
+                               : rng.UniformDouble(100.0, 600.0);
+  };
+  SchedulerPoint point = MeasureHoldModel(kind, name, held, hold, hold);
+  point.near = near;
   return point;
 }
 
@@ -272,6 +300,24 @@ int main() {
   }
   std::printf("\n");
 
+  // The mixed-horizon arm: same queue, two-mode holds.
+  std::vector<SchedulerPoint> mixed_points;
+  for (size_t held : {size_t{1024}, size_t{10240}}) {
+    for (double near : {0.05, 0.5}) {
+      for (const auto& [kind, kind_name] :
+           {std::pair{sim::SchedulerKind::kHeap, "heap"},
+            std::pair{sim::SchedulerKind::kCalendar, "calendar"}}) {
+        const SchedulerPoint point =
+            MeasureSchedulerMixed(kind, kind_name, held, near);
+        std::printf("mixed n=%-6zu near=%.2f %-8s: %8.3gM ops/s\n",
+                    point.held, point.near, point.kind,
+                    point.ops_per_second() / 1e6);
+        mixed_points.push_back(point);
+      }
+    }
+  }
+  std::printf("\n");
+
   struct SchemeCase {
     experiment::Scheme scheme;
     const char* name;
@@ -331,11 +377,23 @@ int main() {
     scheduler_sweep.Append(std::move(entry));
   }
 
+  util::JsonValue scheduler_mixed_sweep = util::JsonValue::MakeArray();
+  for (const SchedulerPoint& point : mixed_points) {
+    util::JsonValue entry = util::JsonValue::MakeObject();
+    entry.Set("held", static_cast<uint64_t>(point.held));
+    entry.Set("near_fraction", point.near);
+    entry.Set("kind", point.kind);
+    entry.Set("ops", point.ops);
+    entry.Set("ops_per_second", point.ops_per_second());
+    scheduler_mixed_sweep.Append(std::move(entry));
+  }
+
   util::JsonValue doc = util::JsonValue::MakeObject();
   doc.Set("manifest", manifest.ToJson());
   doc.Set("exhibit", "scale_sweep");
   doc.Set("sweep", std::move(sweep));
   doc.Set("scheduler_sweep", std::move(scheduler_sweep));
+  doc.Set("scheduler_mixed_sweep", std::move(scheduler_mixed_sweep));
   bench::WriteJsonArtifact(doc, "results/bench_scale.json",
                            "DUP_BENCH_SCALE_JSON");
   return 0;

@@ -1,6 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "util/check.h"
@@ -10,12 +11,17 @@ namespace dupnet::sim {
 
 namespace {
 constexpr size_t kMinBuckets = 16;
-/// Lane-staleness rebuild fires only once the lane holds at least this many
+/// A bucket spans this many mean inter-event gaps, so it holds ~4 events.
+constexpr double kGapsPerBucket = 4.0;
+/// Pops per width sample: the mean gap is taken over this many consecutive
+/// pop-to-pop intervals.
+constexpr uint32_t kPopWindow = 64;
+/// Draining this many events out of ONE bucket (the width targets ~4) means
+/// the width in force is stale; Settle re-derives it (see there).
+constexpr size_t kStaleWidthBucketLen = 128;
+/// Lane re-anchoring fires only once the lane holds at least this many
 /// events AND at least a quarter of everything pending (see Enqueue).
 constexpr size_t kLaneRebuildMin = 32;
-/// Draining this many events out of ONE bucket (the width targets ~4) means
-/// the width estimate is stale; Settle re-derives it (see there).
-constexpr size_t kStaleWidthBucketLen = 128;
 }  // namespace
 
 EventQueue::EventQueue() : bucket_head_(kMinBuckets, kNilSlot) {}
@@ -65,6 +71,10 @@ void EventQueue::Push(SimTime time, std::function<void()> action) {
 }
 
 void EventQueue::Enqueue(SimTime time, uint32_t slot) {
+  // A NaN time compares false against everything, so it would fire out of
+  // (time, seq) order, and the bucket index cast in Place would be
+  // undefined; an infinite one would park the clock at +inf.
+  DUP_CHECK(std::isfinite(time)) << "non-finite event time " << time;
   uint64_t seq = next_seq_++;
   Node& node = pool_[slot];
   node.time = time;
@@ -89,13 +99,15 @@ void EventQueue::Enqueue(SimTime time, uint32_t slot) {
     // times, which is what amortises the year-end redistribution.
     Rebuild(NextPow2(std::max(kMinBuckets, 2 * size_)));
   } else if (lane_.size() >= kLaneRebuildMin && lane_.size() * 4 >= size_ &&
-             lane_.front().time > lane_.back().time) {
-    // The lane — meant to hold one bucket's worth — has soaked up a
-    // quarter of all pending events across a nonzero time span: the year
-    // anchor is stale (e.g. a burst of pushes behind the cursor). Re-anchor
-    // at the earliest pending event so inserts go back to O(1) buckets.
-    // The span check skips the rebuild when every lane event shares one
-    // timestamp: rebucketing cannot separate those, only FIFO order can.
+             (next_seq_ - rebuild_seq_) * 4 >= size_) {
+    // The lane, meant to hold one bucket's worth, has soaked up a quarter
+    // of everything pending: pushes keep landing behind the cursor (a
+    // prefill in random order, a burst into the current bucket), each a
+    // sorted insert that shifts the lane. Re-anchoring at the earliest
+    // pending event with the cursor at bucket 0 turns such pushes back
+    // into O(1) chain pushes. At least a quarter of the pending count in
+    // pushes separates two rebuilds, so their O(pending) cost stays
+    // amortised O(1) per push however often the lane refills.
     Rebuild(bucket_head_.size());
   }
 }
@@ -138,16 +150,19 @@ void EventQueue::Settle() {
       MoveBucketToLane(b);
       cur_bucket_ = b + 1;
       if (!rewidthed && lane_.size() >= kStaleWidthBucketLen &&
-          lane_.front().time > lane_.back().time) {
+          lane_.front().time > lane_.back().time &&
+          (pop_width_ == 0.0 || 2.0 * pop_width_ < width_)) {
         // One bucket just yielded tens of times the ~4 events the width
-        // targets: the width estimate is stale — typically computed while
-        // the pending set was still tiny (a mass-scheduling prefill grows
-        // the set under the nose of an early estimate without ever firing
-        // the Enqueue-side triggers). Re-derive the width from the full
-        // set, or bucket sorts and lane inserts degrade to O(bucket-len)
-        // per operation. Ties are exempt (no width separates equal
-        // timestamps), and one correction per Settle guarantees progress
-        // even if the fresh estimate reproduces the same front bucket.
+        // targets, and the width in force is not the pop stream's: it was
+        // sized before the first full pop window (a mass-scheduling
+        // prefill grows the set under the nose of an early estimate), or
+        // the pop rate has since more than doubled. Re-derive it, or
+        // bucket sorts and lane inserts degrade to O(bucket-len) per
+        // operation. Ties are exempt (no width separates equal
+        // timestamps), and one correction per Settle guarantees progress.
+        // A burst under a current pop-stream width does not qualify: the
+        // rebuild would reproduce the same width and the same front
+        // bucket, so the trigger must not re-arm on it.
         rewidthed = true;
         Rebuild(bucket_head_.size());
       }
@@ -201,32 +216,39 @@ void EventQueue::GatherAll() {
   }
 }
 
+void EventQueue::NotePop(SimTime time) {
+  if (window_pops_ == kPopWindow) {
+    const double gap = (time - window_start_) / kPopWindow;
+    if (gap > 0.0) pop_width_ = kGapsPerBucket * gap;
+    window_pops_ = 0;
+  }
+  if (window_pops_++ == 0) window_start_ = time;
+}
+
 void EventQueue::ComputeWidth() {
   size_t n = scratch_.size();
   if (n < 2) return;
   size_t k = std::max<size_t>(1, (3 * n) / 4);
   double gap = (scratch_[k].time - scratch_[0].time) / static_cast<double>(k);
   if (gap > 0.0) {
-    // Four mean inter-event gaps over the nearest three quarters of the
-    // pending set: a bucket holds ~4 events at the observed rate, and the
-    // far tail (refresh timers, retry backoffs) cannot stretch it. Wide
-    // buckets trade a slightly longer lane sort for a long year — the
-    // year-end redistribution re-places every pending event, so its span
-    // (buckets x width) must cover many multiples of the typical event
-    // hold time or the rebuild dominates at large pending sets.
-    width_ = 4.0 * gap;
+    // Mean inter-event gap over the nearest three quarters of the pending
+    // set. Only a stand-in until the first pop window closes: a two-mode
+    // set (hop deliveries next to far-out soft-state timers) puts its 75th
+    // percentile in the far mode and makes buckets hundreds of times too
+    // wide.
+    width_ = kGapsPerBucket * gap;
     inv_width_ = 1.0 / width_;
   }
 }
 
 void EventQueue::Rebuild(size_t num_buckets) {
+  ++rebuilds_;
+  rebuild_seq_ = next_seq_;
   GatherAll();
   if (bucket_head_.size() != num_buckets) {
     util::ReserveWithHugePages(bucket_head_, num_buckets);
     bucket_head_.assign(num_buckets, kNilSlot);
   }
-  std::sort(scratch_.begin(), scratch_.end(), Earlier{});
-  ComputeWidth();
   cur_bucket_ = 0;
   if (scratch_.empty()) {
     anchored_ = false;
@@ -234,7 +256,19 @@ void EventQueue::Rebuild(size_t num_buckets) {
     return;
   }
   anchored_ = true;
-  year_start_ = scratch_.front().time;
+  if (pop_width_ > 0.0) {
+    // Anchoring at the earliest event with the cursor at bucket 0 files
+    // every event into a bucket or the overflow chain, so placement order
+    // is free and no sort is needed.
+    width_ = pop_width_;
+    inv_width_ = 1.0 / width_;
+    year_start_ = std::min_element(scratch_.begin(), scratch_.end(),
+                                   Earlier{})->time;
+  } else {
+    std::sort(scratch_.begin(), scratch_.end(), Earlier{});
+    ComputeWidth();
+    year_start_ = scratch_.front().time;
+  }
   for (const Ref& ref : scratch_) Place(ref);
   scratch_.clear();
 }
@@ -261,6 +295,7 @@ Event EventQueue::Pop() {
     ref = lane_.back();
     lane_.pop_back();
     if (!lane_.empty()) __builtin_prefetch(&pool_[lane_.back().slot]);
+    NotePop(ref.time);
   }
   --size_;
   if (size_ == 0) {

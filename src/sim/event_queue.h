@@ -94,14 +94,24 @@ enum class SchedulerKind {
 /// yields the exact global FIFO total order — the heap and calendar pop
 /// streams are identical, event for event.
 ///
-/// `width_` is sized from the observed event-rate: on every rebuild the
-/// pending set is sorted and the mean gap up to the 75th-percentile event
-/// (doubled) becomes the new bucket width, so a bucket holds ~a handful of
-/// events regardless of load. Rebuilds trigger when the pending count
-/// outgrows 2*B (the only allocating path: the bucket array doubles), and
-/// — allocation-free — when the lane itself accumulates a quarter of all
-/// pending events spanning a nonzero time range (a sign the year anchor is
-/// stale, e.g. after a burst of pushes behind the current cursor).
+/// `width_` is sized from the pop stream: every 64 pops the mean gap
+/// between consecutive popped events is sampled, and a bucket spans 4 of
+/// those gaps, so it holds ~4 events at the rate the queue is actually
+/// drained. The pending set's own shape cannot mislead it: hop deliveries
+/// 0.1 s out and soft-state timers hundreds of seconds out sit side by
+/// side, but only their firing rate matters. Before the first full window
+/// (a prefilled queue that has not popped yet) the width falls back to 4
+/// mean gaps over the nearest three quarters of the sorted pending set. A
+/// rebuild re-anchors the year at the earliest pending event and applies
+/// the current width. Rebuilds trigger when the pending count outgrows 2*B
+/// (the only allocating path: the bucket array doubles); when the year is
+/// exhausted and the overflow chain must be redistributed; when one bucket
+/// drains 128+ distinct-time events while the width in force is not the
+/// pop stream's (never set from it, or more than twice its current value),
+/// so a rebuild that leaves the width unchanged cannot re-arm it; and when
+/// the lane has soaked up a quarter of all pending events (pushes behind
+/// the cursor), at most once per pending/4 pushes, which keeps rebuild
+/// work amortised O(1) per push. rebuilds() counts them all.
 class EventQueue {
  public:
   EventQueue();
@@ -113,13 +123,14 @@ class EventQueue {
   void set_scheduler(SchedulerKind kind);
   SchedulerKind scheduler() const { return kind_; }
 
-  /// Enqueues a typed event for `target` to fire at absolute time `time`.
-  /// Steady-state allocation-free.
+  /// Enqueues a typed event for `target` to fire at absolute time `time`,
+  /// which must be finite (checked in every build). Steady-state
+  /// allocation-free.
   void Push(SimTime time, EventTarget* target, uint32_t code,
             uint64_t arg = 0);
 
-  /// Enqueues a boxed closure (fallback path; the closure itself may
-  /// allocate).
+  /// Enqueues a boxed closure at finite time `time` (fallback path; the
+  /// closure itself may allocate).
   void Push(SimTime time, std::function<void()> action);
 
   bool empty() const { return size_ == 0; }
@@ -142,6 +153,11 @@ class EventQueue {
 
   /// Total number of events ever pushed.
   uint64_t pushed() const { return next_seq_; }
+
+  /// Calendar rebuilds so far (year re-anchors, bucket-array growth and
+  /// width corrections, Reserve included). Read-only observable: a count
+  /// that grows with every push rather than every year is a storm.
+  uint64_t rebuilds() const { return rebuilds_; }
 
   /// Payload slots ever allocated — the pool's high-water mark (equals the
   /// peak number of simultaneously pending events). Benchmarks use this to
@@ -215,17 +231,22 @@ class EventQueue {
   void Settle();
   /// Calendar: drains bucket `b`'s chain into the (empty) lane and sorts.
   void MoveBucketToLane(size_t b);
-  /// Calendar: gathers every pending event into scratch_, re-derives the
-  /// year anchor and bucket width from the sorted set, and redistributes.
+  /// Calendar: gathers every pending event into scratch_, re-anchors the
+  /// year at the earliest one, applies the pop-stream width (or the
+  /// pending-set fallback, see ComputeWidth) and redistributes.
   /// Allocation-free unless `num_buckets` exceeds the current array.
   void Rebuild(size_t num_buckets);
   /// Calendar: collects lane + buckets + overflow into scratch_ (cleared
   /// first) and empties them.
   void GatherAll();
-  /// Calendar: re-derives width_ from ascending-sorted scratch_ (mean gap
-  /// up to the 75th-percentile event, doubled); keeps the old width when
-  /// the span is degenerate (all-equal timestamps).
+  /// Calendar fallback before the first full pop window: re-derives width_
+  /// from ascending-sorted scratch_ (4 mean gaps up to the 75th-percentile
+  /// event); keeps the old width when the span is degenerate (all-equal
+  /// timestamps).
   void ComputeWidth();
+  /// Calendar: feeds one popped time into the pop-gap window; every 64
+  /// gaps it refreshes pop_width_ (4 x the window's mean gap, when > 0).
+  void NotePop(SimTime time);
 
   SchedulerKind kind_ = SchedulerKind::kCalendar;
   size_t size_ = 0;  ///< Pending events, both schedulers.
@@ -242,6 +263,11 @@ class EventQueue {
   double width_ = 1.0;      ///< Bucket width in sim-seconds (> 0).
   double inv_width_ = 1.0;
   bool anchored_ = false;   ///< year_start_ valid (first push anchors).
+  double pop_width_ = 0.0;  ///< Width from the last pop window; 0 = none yet.
+  SimTime window_start_ = 0.0;  ///< Time of the current window's first pop.
+  uint32_t window_pops_ = 0;    ///< Pops in the current window so far.
+  uint64_t rebuilds_ = 0;
+  uint64_t rebuild_seq_ = 0;  ///< next_seq_ at the last rebuild.
   std::vector<Ref> scratch_;  ///< Rebuild staging buffer.
 
   std::vector<Node> pool_;         ///< Payload slab, indexed by Ref::slot.

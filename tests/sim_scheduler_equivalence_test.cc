@@ -4,6 +4,7 @@
 // bit-identical only if the schedulers are pop-for-pop interchangeable.
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -152,6 +153,157 @@ TEST(SchedulerEquivalenceTest, EngineRunsIdenticallyOnBothSchedulers) {
     EXPECT_EQ(order, (std::vector<int>{2, 3, 4, 1}))
         << "scheduler kind " << static_cast<int>(kind);
   }
+}
+
+/// A heap and a calendar queue driven in lockstep: every push goes to both,
+/// and every pop must return the same event from both.
+class LockstepQueues {
+ public:
+  explicit LockstepQueues(size_t reserve = 0) {
+    heap_.set_scheduler(SchedulerKind::kHeap);
+    calendar_.set_scheduler(SchedulerKind::kCalendar);
+    if (reserve > 0) {
+      heap_.Reserve(reserve);
+      calendar_.Reserve(reserve);
+    }
+  }
+
+  void Push(SimTime time, uint64_t arg) {
+    heap_.Push(time, &target_, /*code=*/0, arg);
+    calendar_.Push(time, &target_, /*code=*/0, arg);
+  }
+
+  /// Pops the next event from both queues into `out`; records a failure
+  /// and returns false when they disagree.
+  bool Pop(PoppedEvent* out) {
+    const Event h = heap_.Pop();
+    const Event c = calendar_.Pop();
+    *out = {h.time, h.seq, h.arg};
+    if (*out == PoppedEvent{c.time, c.seq, c.arg}) {
+      ++pops_;
+      return true;
+    }
+    ADD_FAILURE() << "divergence at pop " << pops_ << ": heap (" << h.time
+                  << ", " << h.seq << ") vs calendar (" << c.time << ", "
+                  << c.seq << ")";
+    return false;
+  }
+
+  bool Drain() {
+    PoppedEvent e;
+    while (!heap_.empty()) {
+      if (!Pop(&e)) return false;
+    }
+    return calendar_.empty();
+  }
+
+  EventQueue& calendar() { return calendar_; }
+
+ private:
+  RecordingTarget target_;
+  EventQueue heap_;
+  EventQueue calendar_;
+  uint64_t pops_ = 0;
+};
+
+/// The two-mode hold time of the paper's event mix: with probability
+/// `near` a hop delivery, Exp(0.1 s) out; otherwise a TTL, push-lead or
+/// refresh timer, U(100, 600) s out.
+SimTime MixedHold(util::Rng& rng, double near) {
+  return rng.Bernoulli(near) ? rng.Exponential(0.1)
+                             : rng.UniformDouble(100.0, 600.0);
+}
+
+TEST(SchedulerEquivalenceTest, MixedHorizonHoldModelMatchesHeapWithoutStorms) {
+  // Hold model over a two-mode pending set. The pending set's 75th
+  // percentile sits in the far mode whenever near events are a minority
+  // of what is pending, so a width taken from it is hundreds of times too
+  // wide; rebuilds then chase each other (about one per second push at
+  // 200 held, near = 0.5). The width taken from the pop stream keeps
+  // rebuilds to year ends, growth and a few corrections.
+  constexpr uint64_t kOps = uint64_t{1} << 18;
+  for (size_t held : {size_t{200}, size_t{20000}}) {
+    for (double near : {0.05, 0.25, 0.5, 0.9}) {
+      for (bool reserve : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "held=" << held << " near="
+                                        << near << " reserve=" << reserve);
+        LockstepQueues queues(reserve ? held : 0);
+        util::Rng rng(0x401dU + held);
+        for (size_t i = 0; i < held; ++i) queues.Push(MixedHold(rng, near), i);
+        PoppedEvent e;
+        for (uint64_t op = 0; op < kOps; ++op) {
+          ASSERT_TRUE(queues.Pop(&e));
+          queues.Push(e.time + MixedHold(rng, near), e.arg);
+        }
+        ASSERT_TRUE(queues.Drain());
+        EXPECT_LE(queues.calendar().rebuilds(), kOps / 128);
+      }
+    }
+  }
+}
+
+TEST(SchedulerEquivalenceTest, BurstBehindTheCursorMatchesHeap) {
+  // A steady stream one second apart sizes buckets at a few seconds. Then
+  // 10^5 pushes land between the last popped time and the next pending
+  // event: inside the bucket already drained into the lane, in random
+  // order or all tied. As sorted lane inserts that is ~10^10 element
+  // moves; re-anchoring the year turns them into O(1) chain pushes after
+  // a handful of rebuilds. The reserved queue never grows its bucket
+  // array, so only the lane trigger can do that.
+  constexpr uint64_t kBurst = 100000;
+  for (bool reserve : {false, true}) {
+    for (bool tied : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "reserve=" << reserve
+                                      << " tied=" << tied);
+      LockstepQueues queues(reserve ? 2 * kBurst : 0);
+      util::Rng rng(0xb0257u);
+      for (uint64_t i = 0; i < 1000; ++i) {
+        queues.Push(static_cast<double>(i), i);
+      }
+      PoppedEvent e;
+      for (int i = 0; i < 500; ++i) {
+        ASSERT_TRUE(queues.Pop(&e));
+        queues.Push(e.time + 1000.0, e.arg);
+      }
+      const SimTime now = e.time;
+      const SimTime next = queues.calendar().PeekTime();
+      ASSERT_GT(next, now);
+      const uint64_t rebuilds_before = queues.calendar().rebuilds();
+      for (uint64_t i = 0; i < kBurst; ++i) {
+        queues.Push(tied ? next : rng.UniformDouble(now, next), 1000 + i);
+      }
+      // Without a re-anchor every push is a sorted lane insert, O(n^2) in
+      // all; a rebuild per push would be just as quadratic.
+      const uint64_t burst_rebuilds =
+          queues.calendar().rebuilds() - rebuilds_before;
+      EXPECT_GE(burst_rebuilds, 1u);
+      EXPECT_LE(burst_rebuilds, 16u);
+      ASSERT_TRUE(queues.Drain());
+    }
+  }
+}
+
+TEST(SchedulerEquivalenceDeathTest, NonFiniteEventTimesAbort) {
+  // NaN compares false against everything and would fire out of order;
+  // +/-inf would park the clock at infinity. Both schedulers refuse them.
+  RecordingTarget target;
+  for (SchedulerKind kind : {SchedulerKind::kHeap, SchedulerKind::kCalendar}) {
+    EventQueue queue;
+    queue.set_scheduler(kind);
+    queue.Push(1.0, &target, 0);
+    EXPECT_DEATH(queue.Push(std::numeric_limits<double>::quiet_NaN(),
+                            &target, 0),
+                 "non-finite event time nan");
+    EXPECT_DEATH(queue.Push(std::numeric_limits<double>::infinity(), [] {}),
+                 "non-finite event time inf");
+    EXPECT_DEATH(queue.Push(-std::numeric_limits<double>::infinity(),
+                            &target, 0),
+                 "non-finite event time -inf");
+  }
+  Engine engine;
+  EXPECT_DEATH(engine.ScheduleAfter(std::numeric_limits<double>::infinity(),
+                                    [] {}),
+               "non-finite event time inf");
 }
 
 #ifndef DUP_ENABLE_DCHECKS
