@@ -22,6 +22,18 @@ std::string NodeName(NodeId node) {
   return util::StrFormat("%u", node);
 }
 
+const proto::CupInterest* CupInterestOf(
+    const proto::TreeProtocolBase* protocol) {
+  if (const auto* adaptive =
+          dynamic_cast<const core::AdaptiveProtocol*>(protocol)) {
+    return &adaptive->cup_interest();
+  }
+  if (const auto* cup = dynamic_cast<const proto::CupProtocol*>(protocol)) {
+    return &cup->interest();
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 std::string Violation::ToString() const {
@@ -51,8 +63,8 @@ InvariantChecker::InvariantChecker(const topo::IndexSearchTree* tree,
       network_(network),
       protocol_(protocol),
       dup_(dynamic_cast<const core::DupProtocol*>(protocol)),
-      cup_(dynamic_cast<const proto::CupProtocol*>(protocol)),
       adaptive_(dynamic_cast<const core::AdaptiveProtocol*>(protocol)),
+      cup_(CupInterestOf(protocol)),
       trace_(trace),
       options_(options) {
   DUP_CHECK(tree != nullptr);
@@ -115,7 +127,6 @@ void InvariantChecker::CheckStable(sim::SimTime now) {
     CheckDupArity(now);
   }
   if (cup_ != nullptr) CheckCupStable(now);
-  if (adaptive_ != nullptr) CheckAdaptiveStable(now);
 }
 
 void InvariantChecker::CheckGlobal(sim::SimTime now, bool force_global) {
@@ -123,8 +134,15 @@ void InvariantChecker::CheckGlobal(sim::SimTime now, bool force_global) {
     CheckDupGlobal(now);
     CheckDupFanOutGlobal(now);
   }
-  if (cup_ != nullptr) CheckCupGlobal(now);
-  if (adaptive_ != nullptr) CheckAdaptiveGlobal(now, force_global);
+  // The adaptive protocol keeps its registrations only while in CUP.
+  if (cup_ != nullptr && (adaptive_ == nullptr ||
+                          adaptive_->regime() == proto::AdaptiveRegime::kCup)) {
+    CheckCupGlobal(now);
+  }
+  // Only at the end-of-run forced pass: mid-run, in-flight subscribes can
+  // legitimately cross a migration and linger until the next controller
+  // tick sweeps them.
+  if (adaptive_ != nullptr && force_global) CheckAdaptiveHandover(now);
 }
 
 // ---------------------------------------------------------------------------
@@ -413,7 +431,7 @@ void InvariantChecker::CheckDupFanOutGlobal(sim::SimTime now) {
 }
 
 // ---------------------------------------------------------------------------
-// CUP (comparison baseline).
+// CUP (comparison baseline, and the adaptive protocol's CUP regime).
 // ---------------------------------------------------------------------------
 
 void InvariantChecker::CheckCupStable(sim::SimTime now) {
@@ -444,39 +462,11 @@ void InvariantChecker::CheckCupGlobal(sim::SimTime now) {
 // Adaptive regime controller (core::AdaptiveProtocol).
 // ---------------------------------------------------------------------------
 
-void InvariantChecker::CheckAdaptiveStable(sim::SimTime now) {
-  for (NodeId node : adaptive_->NotifiedNodes()) {
-    if (!tree_->Contains(node)) {
-      Report(now, "adaptive-departed-state", node, kInvalidNode,
-             "no interest state for a departed node", "notified");
-    }
-  }
-}
-
-void InvariantChecker::CheckAdaptiveGlobal(sim::SimTime now,
-                                           bool force_global) {
-  // CUP-regime registration consistency, the adaptive analogue of
-  // CheckCupGlobal: a notified node is represented by an active
-  // demand-branch entry at its current parent.
-  if (adaptive_->regime() == proto::AdaptiveRegime::kCup) {
-    for (NodeId node : adaptive_->NotifiedNodes()) {
-      if (!tree_->Contains(node) || node == tree_->root()) continue;
-      const NodeId parent = tree_->Parent(node);
-      if (!adaptive_->HasDemandBranch(parent, node)) {
-        Report(now, "adaptive-registration", parent, node,
-               "demand-branch entry for notified child", "absent");
-      }
-    }
-  }
-
-  // Handover completeness: outside the DUP regime the DUP tree must be
-  // provably gone — every subscriber list, delegation plan and relay set
-  // empty, no subscriber left stranded. Only at the end-of-run forced pass:
-  // mid-run, in-flight subscribes can legitimately cross a migration and
-  // linger until the next controller tick sweeps them.
-  if (!force_global || adaptive_->regime() == proto::AdaptiveRegime::kDup) {
-    return;
-  }
+void InvariantChecker::CheckAdaptiveHandover(sim::SimTime now) {
+  // Outside the DUP regime the DUP tree must be provably gone — every
+  // subscriber list, delegation plan and relay set empty, no subscriber
+  // left stranded.
+  if (adaptive_->regime() == proto::AdaptiveRegime::kDup) return;
   adaptive_->VisitFanOutStates(
       [&](NodeId node, const core::DupProtocol::FanOutState& state) {
         if (!tree_->Contains(node)) return;

@@ -17,7 +17,7 @@ class AdaptiveProtocol;
 class DupProtocol;
 }
 namespace dupnet::proto {
-class CupProtocol;
+class CupInterest;
 }
 
 namespace dupnet::audit {
@@ -80,8 +80,7 @@ struct Violation {
 ///    bound);
 ///  - CUP registration consistency: every node whose one-shot interest
 ///    notification fired has a demand-branch entry at its current parent
-///    (the same check runs against the adaptive protocol in its CUP
-///    regime);
+///    (for the adaptive protocol, only while it runs the CUP regime);
 ///  - adaptive handover completeness, force-checked at end of run only
 ///    (in-flight subscribes can legitimately cross a migration and linger
 ///    until the next controller tick mid-run): when the regime is not DUP,
@@ -152,17 +151,18 @@ class InvariantChecker {
   void CheckDupFanOutGlobal(sim::SimTime now);
   void CheckCupStable(sim::SimTime now);
   void CheckCupGlobal(sim::SimTime now);
-  void CheckAdaptiveStable(sim::SimTime now);
-  void CheckAdaptiveGlobal(sim::SimTime now, bool force_global);
+  void CheckAdaptiveHandover(sim::SimTime now);
 
   const topo::IndexSearchTree* tree_;
   const net::OverlayNetwork* network_;
   const proto::TreeProtocolBase* protocol_;
   const core::DupProtocol* dup_;  ///< Non-null when protocol_ is DUP-based.
-  const proto::CupProtocol* cup_; ///< Non-null when protocol_ is CUP.
   /// Non-null when protocol_ is the adaptive regime controller (dup_ is
   /// then non-null too — the DUP invariant set applies verbatim).
   const core::AdaptiveProtocol* adaptive_;
+  /// CUP's interest state: CupProtocol's, or the adaptive protocol's CUP
+  /// regime; null for the other schemes.
+  const proto::CupInterest* cup_;
   trace::JsonlTraceWriter* trace_;
   Options options_;
 

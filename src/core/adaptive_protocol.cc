@@ -15,63 +15,8 @@ AdaptiveProtocol::AdaptiveProtocol(
     const proto::ProtocolOptions& options, const DupOptions& dup_options,
     const proto::AdaptiveOptions& adaptive_options)
     : DupProtocol(network, tree, options, dup_options),
-      controller_(adaptive_options) {
-  // Eager demand tables for every current tree node, one inactive slot per
-  // child, mirroring CupProtocol: steady-state demand recording touches
-  // preallocated storage only.
-  for (NodeId node : tree->NodesPreOrder()) {
-    AdaptiveState& state = adaptive_states_.AtSlot(AdaptiveSlotOf(node));
-    const auto& children = tree->Children(node);
-    state.branches.reserve(children.size() + 1);
-    for (NodeId child : children) {
-      DemandBranch& slot = state.branches.emplace_back();
-      slot.child = child;
-      slot.demand.Reset(this->options().ttl, 0);
-    }
-  }
-}
-
-uint32_t AdaptiveProtocol::AdaptiveSlotOf(NodeId node) {
-  return adaptive_states_.SlotOrInit(tree()->registry(), node,
-                                     [](AdaptiveState& state) {
-                                       state.interest_notified = false;
-                                       state.branches.clear();
-                                     });
-}
-
-// ---------------------------------------------------------------------------
-// Demand measurement (all regimes — keeps the CUP handover warm).
-// ---------------------------------------------------------------------------
-
-void AdaptiveProtocol::RecordDemand(NodeId at, NodeId from_child) {
-  AdaptiveState& state = adaptive_states_.AtSlot(AdaptiveSlotOf(at));
-  DemandBranch* found = nullptr;
-  for (DemandBranch& branch : state.branches) {
-    if (branch.child == from_child) {
-      found = &branch;
-      break;
-    }
-  }
-  if (found == nullptr) {
-    found = &state.branches.emplace_back();
-    found->child = from_child;
-  }
-  if (!found->active) {
-    found->active = true;
-    found->demand.Reset(options().ttl, 0);
-  }
-  found->demand.RecordQuery(Now());
-}
-
-bool AdaptiveProtocol::BranchHasDemand(NodeId at, NodeId child) {
-  AdaptiveState& state = adaptive_states_.AtSlot(AdaptiveSlotOf(at));
-  for (DemandBranch& branch : state.branches) {
-    if (branch.child == child && branch.active) {
-      return branch.demand.CountInWindow(Now()) > 0;
-    }
-  }
-  return false;
-}
+      controller_(adaptive_options),
+      cup_(this, proto::CupOptions()) {}
 
 // ---------------------------------------------------------------------------
 // Hooks from the shared query flow.
@@ -82,7 +27,8 @@ void AdaptiveProtocol::AfterLocalQuery(NodeId /*node*/) {
 }
 
 void AdaptiveProtocol::AfterRequestObserved(NodeId at, NodeId from_child) {
-  RecordDemand(at, from_child);
+  // Demand is measured in every regime, which keeps the CUP handover warm.
+  cup_.RecordDemand(at, from_child);
 }
 
 void AdaptiveProtocol::AfterQueryObserved(NodeId node) {
@@ -91,27 +37,11 @@ void AdaptiveProtocol::AfterQueryObserved(NodeId node) {
       DupProtocol::AfterQueryObserved(node);
       return;
     case AdaptiveRegime::kCup:
-      MaybeRegisterInterest(node);
+      cup_.NotifyIfInterested(node);
       return;
     case AdaptiveRegime::kPcx:
       return;
   }
-}
-
-void AdaptiveProtocol::MaybeRegisterInterest(NodeId node) {
-  if (node == tree()->root()) return;
-  AdaptiveState& state = adaptive_states_.AtSlot(AdaptiveSlotOf(node));
-  if (state.interest_notified || !NodeInterested(node)) return;
-  // One-shot explicit interest notification toward the parent (CUP
-  // Section II-B), so a node whose queries are all served locally still
-  // gets the next push.
-  state.interest_notified = true;
-  Message msg;
-  msg.type = MessageType::kInterestRegister;
-  msg.from = node;
-  msg.to = tree()->Parent(node);
-  msg.subject = node;
-  network()->Send(msg);
 }
 
 // ---------------------------------------------------------------------------
@@ -139,22 +69,7 @@ void AdaptiveProtocol::OnRootPublish(IndexVersion version,
   // DUP tree is provably gone while the key runs PCX or CUP.
   SweepDupSubscriptions();
   if (after == AdaptiveRegime::kCup) {
-    ForwardPushCup(tree()->root(), version, expiry);
-  }
-}
-
-void AdaptiveProtocol::ForwardPushCup(NodeId at, IndexVersion version,
-                                      sim::SimTime expiry) {
-  if (!tree()->Contains(at)) return;
-  for (NodeId child : tree()->Children(at)) {
-    if (!BranchHasDemand(at, child)) continue;
-    Message push;
-    push.type = MessageType::kPush;
-    push.from = at;
-    push.to = child;
-    push.version = version;
-    push.expiry = expiry;
-    network()->Send(push);
+    cup_.ForwardPush(tree()->root(), version, expiry);
   }
 }
 
@@ -168,7 +83,7 @@ void AdaptiveProtocol::HandleProtocolMessage(const Message& message) {
       HandleAdaptivePush(message);
       return;
     case MessageType::kInterestRegister:
-      HandleInterestRegister(message);
+      cup_.HandleRegister(message);
       return;
     default:
       // kSubscribe / kUnsubscribe / kSubstitute (including delegation
@@ -194,25 +109,8 @@ void AdaptiveProtocol::HandleAdaptivePush(const Message& message) {
   // unsubscribe).
   if (SlistOf(at).HasSelf()) ProcessUnsubscribe(at, kSelfBranch);
   if (controller_.regime() == AdaptiveRegime::kCup) {
-    ForwardPushCup(at, message.version, message.expiry);
+    cup_.ForwardPush(at, message.version, message.expiry);
   }
-}
-
-void AdaptiveProtocol::HandleInterestRegister(const Message& message) {
-  const NodeId at = message.to;
-  // Same in-flight topology-change handling as CupProtocol: stale senders
-  // drop, re-parented senders re-route to their current parent.
-  const NodeId from = message.from;
-  if (!tree()->Contains(from) || from == tree()->root()) return;
-  if (const NodeId parent = tree()->Parent(from); parent != at) {
-    Message forward = message;
-    forward.to = parent;
-    forward.seq = 0;  // A fresh transmission, reliably re-tracked.
-    network()->Send(forward);
-    return;
-  }
-  // An explicit notification counts as one unit of branch demand.
-  RecordDemand(at, from);
 }
 
 // ---------------------------------------------------------------------------
@@ -222,7 +120,9 @@ void AdaptiveProtocol::HandleInterestRegister(const Message& message) {
 void AdaptiveProtocol::MigrateRegime(AdaptiveRegime from, AdaptiveRegime to) {
   if (from == AdaptiveRegime::kDup) SweepDupSubscriptions();
   if (to == AdaptiveRegime::kDup) EnterDup();
-  if (to == AdaptiveRegime::kCup) RearmInterestNotifications();
+  // Interested nodes re-register on their next query; the per-branch
+  // demand windows are already warm from live request traffic.
+  if (to == AdaptiveRegime::kCup) cup_.RearmNotifications();
 }
 
 void AdaptiveProtocol::EnterDup() {
@@ -253,21 +153,6 @@ void AdaptiveProtocol::SweepDupSubscriptions() {
   }
 }
 
-void AdaptiveProtocol::RearmInterestNotifications() {
-  // Re-arm the one-shot notifications so interested nodes re-register on
-  // their next query; the per-branch demand windows are already warm from
-  // live request traffic. Local flag flips only — no messages, so slot
-  // order is fine.
-  sweep_scratch_.clear();
-  adaptive_states_.ForEach([&](NodeId node, const AdaptiveState& state) {
-    if (state.interest_notified) sweep_scratch_.push_back(node);
-  });
-  for (NodeId node : sweep_scratch_) {
-    AdaptiveState* state = adaptive_states_.Find(tree()->registry(), node);
-    if (state != nullptr) state->interest_notified = false;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Churn.
 // ---------------------------------------------------------------------------
@@ -275,40 +160,9 @@ void AdaptiveProtocol::RearmInterestNotifications() {
 void AdaptiveProtocol::OnSplitJoined(NodeId node, NodeId parent,
                                      NodeId child) {
   DupProtocol::OnSplitJoined(node, parent, child);
-  // CUP-side demand handover, mirroring CupProtocol::OnSplitJoined: the
-  // parent's demand record for the split branch now describes the edge to
-  // the newcomer, and the newcomer inherits a copy for the child. It rides
-  // the same one-hop local handover DupProtocol just charged, so no extra
-  // control hop.
-  const uint32_t parent_slot = AdaptiveSlotOf(parent);
-  AdaptiveState& parent_state = adaptive_states_.AtSlot(parent_slot);
-  DemandBranch* branch = nullptr;
-  for (DemandBranch& b : parent_state.branches) {
-    if (b.child == child && b.active) {
-      branch = &b;
-      break;
-    }
-  }
-  if (branch == nullptr) return;
-  // Deep copy before creating the newcomer's state: the slab may grow and
-  // invalidate `branch` (AccessTracker owns its ring outright, so the copy
-  // is slot-independent).
-  const cache::AccessTracker demand = branch->demand;
-  branch->child = node;  // Re-key in place: same payload, new branch.
-  AdaptiveState& node_state = adaptive_states_.AtSlot(AdaptiveSlotOf(node));
-  DemandBranch* inherited = nullptr;
-  for (DemandBranch& b : node_state.branches) {
-    if (b.child == child) {
-      inherited = &b;
-      break;
-    }
-  }
-  if (inherited == nullptr) {
-    inherited = &node_state.branches.emplace_back();
-    inherited->child = child;
-  }
-  inherited->active = true;
-  inherited->demand = demand;
+  // The CUP demand handover rides the same one-hop local handover
+  // DupProtocol just charged, so no extra control hop.
+  cup_.HandOverSplit(node, parent, child);
 }
 
 void AdaptiveProtocol::OnNodeRemoved(NodeId node, NodeId former_parent,
@@ -316,21 +170,9 @@ void AdaptiveProtocol::OnNodeRemoved(NodeId node, NodeId former_parent,
                                      bool was_root, NodeId new_root) {
   DupProtocol::OnNodeRemoved(node, former_parent, former_children, was_root,
                              new_root);
-  adaptive_states_.Erase(tree()->registry(), node);
-  if (controller_.regime() != AdaptiveRegime::kCup) return;
-  // Orphans whose interest was registered with the dead parent re-notify
-  // their new parent (mirrors CupProtocol::OnNodeRemoved).
-  for (NodeId child : former_children) {
-    if (!tree()->Contains(child) || child == tree()->root()) continue;
-    const AdaptiveState* state =
-        adaptive_states_.Find(tree()->registry(), child);
-    if (state == nullptr || !state->interest_notified) continue;
-    Message msg;
-    msg.type = MessageType::kInterestRegister;
-    msg.from = child;
-    msg.to = tree()->Parent(child);
-    msg.subject = child;
-    network()->Send(msg);
+  cup_.Erase(node);
+  if (controller_.regime() == AdaptiveRegime::kCup) {
+    cup_.RenotifyOrphans(former_children);
   }
 }
 
@@ -344,41 +186,7 @@ void AdaptiveProtocol::OnSoftStateRefresh() {
   // end-of-run prune then clears every non-self leftover), and in CUP
   // refresh the registrations the demand windows depend on.
   SweepDupSubscriptions();
-  if (controller_.regime() != AdaptiveRegime::kCup) return;
-  sweep_scratch_.clear();
-  adaptive_states_.ForEach([&](NodeId node, const AdaptiveState& state) {
-    if (!state.interest_notified) return;
-    if (!tree()->Contains(node) || node == tree()->root()) return;
-    sweep_scratch_.push_back(node);
-  });
-  std::sort(sweep_scratch_.begin(), sweep_scratch_.end());
-  for (NodeId node : sweep_scratch_) {
-    Message msg;
-    msg.type = MessageType::kInterestRegister;
-    msg.from = node;
-    msg.to = tree()->Parent(node);
-    msg.subject = node;
-    network()->Send(msg);
-  }
-}
-
-std::vector<NodeId> AdaptiveProtocol::NotifiedNodes() const {
-  std::vector<NodeId> notified;
-  adaptive_states_.ForEach([&notified](NodeId node,
-                                       const AdaptiveState& state) {
-    if (state.interest_notified) notified.push_back(node);
-  });
-  std::sort(notified.begin(), notified.end());
-  return notified;
-}
-
-bool AdaptiveProtocol::HasDemandBranch(NodeId node, NodeId child) const {
-  const AdaptiveState* state = adaptive_states_.Find(tree()->registry(), node);
-  if (state == nullptr) return false;
-  for (const DemandBranch& branch : state->branches) {
-    if (branch.child == child && branch.active) return true;
-  }
-  return false;
+  if (controller_.regime() == AdaptiveRegime::kCup) cup_.Reregister();
 }
 
 }  // namespace dupnet::core

@@ -3,9 +3,9 @@
 
 #include <vector>
 
-#include "cache/access_tracker.h"
 #include "core/dup_protocol.h"
 #include "proto/adaptive_controller.h"
+#include "proto/cup.h"
 
 namespace dupnet::core {
 
@@ -29,9 +29,9 @@ namespace dupnet::core {
 ///
 /// No new message classes: handover rides kInterestRegister / kSubscribe /
 /// kUnsubscribe / kSubstitute, so the fault layer's at-least-once ack and
-/// retry semantics carry over unchanged. The CUP regime reproduces
-/// CupProtocol's default demand-window policy (push down a branch iff it
-/// showed demand in the trailing TTL window).
+/// retry semantics carry over unchanged. The CUP regime is CupProtocol's
+/// own proto::CupInterest under the default demand-window policy (push
+/// down a branch iff it showed demand in the trailing TTL window).
 ///
 /// Inherits DupProtocol (rather than composing it) so the Figure 3 state
 /// machine, the arity-capped fan-out planner and the churn repairs apply
@@ -57,13 +57,9 @@ class AdaptiveProtocol : public DupProtocol {
   proto::AdaptiveRegime regime() const { return controller_.regime(); }
   const proto::AdaptiveController& controller() const { return controller_; }
 
-  /// Nodes whose one-shot CUP interest notification is armed, ascending
-  /// (audit introspection; never creates state).
-  std::vector<NodeId> NotifiedNodes() const;
-
-  /// True iff `node` holds an active demand-branch record for `child`
-  /// (audit's registration-consistency check; never creates state).
-  bool HasDemandBranch(NodeId node, NodeId child) const;
+  /// The CUP regime's interest state (demand windows are kept in every
+  /// regime; notifications fire only in CUP).
+  const proto::CupInterest& cup_interest() const { return cup_; }
 
  protected:
   void AfterQueryObserved(NodeId node) override;
@@ -72,32 +68,7 @@ class AdaptiveProtocol : public DupProtocol {
   void HandleProtocolMessage(const net::Message& message) override;
 
  private:
-  /// CUP-regime per-branch demand window (mirrors CupProtocol::BranchSlot
-  /// under the default demand-window policy; no credit, bar 0).
-  struct DemandBranch {
-    NodeId child = kInvalidNode;
-    bool active = false;
-    cache::AccessTracker demand;
-  };
-  struct AdaptiveState {
-    bool interest_notified = false;
-    std::vector<DemandBranch> branches;
-  };
-
-  uint32_t AdaptiveSlotOf(NodeId node);
-
-  void RecordDemand(NodeId at, NodeId from_child);
-  bool BranchHasDemand(NodeId at, NodeId child);
-
-  /// CUP-regime push fan-out: forward down every branch with in-window
-  /// demand (CupPushPolicy::kDemandWindow).
-  void ForwardPushCup(NodeId at, IndexVersion version, sim::SimTime expiry);
-
   void HandleAdaptivePush(const net::Message& message);
-  void HandleInterestRegister(const net::Message& message);
-
-  /// One-shot CUP interest notification for `node` if it qualifies.
-  void MaybeRegisterInterest(NodeId node);
 
   /// Regime handover (see class comment).
   void MigrateRegime(proto::AdaptiveRegime from, proto::AdaptiveRegime to);
@@ -106,11 +77,9 @@ class AdaptiveProtocol : public DupProtocol {
   /// Tears the DUP tree down via unsubscribes; also the straggler sweep
   /// run at every non-DUP controller tick.
   void SweepDupSubscriptions();
-  /// Re-arms the one-shot interest notifications.
-  void RearmInterestNotifications();
 
   proto::AdaptiveController controller_;
-  NodeSlab<AdaptiveState> adaptive_states_;
+  proto::CupInterest cup_;
   /// Reused by the migration sweeps (sorted node collections).
   std::vector<NodeId> sweep_scratch_;
 };

@@ -20,6 +20,25 @@ SimulationDriver::SimulationDriver(const ExperimentConfig& config)
 
 SimulationDriver::~SimulationDriver() = default;
 
+std::unique_ptr<proto::TreeProtocolBase> MakeProtocol(
+    Scheme scheme, net::OverlayNetwork* network, topo::IndexSearchTree* tree,
+    const proto::ProtocolOptions& options, const proto::CupOptions& cup,
+    const core::DupOptions& dup, const proto::AdaptiveOptions& adaptive) {
+  switch (scheme) {
+    case Scheme::kPcx:
+      return std::make_unique<proto::PcxProtocol>(network, tree, options);
+    case Scheme::kCup:
+      return std::make_unique<proto::CupProtocol>(network, tree, options, cup);
+    case Scheme::kDup:
+      return std::make_unique<core::DupProtocol>(network, tree, options, dup);
+    case Scheme::kAdaptive:
+      return std::make_unique<core::AdaptiveProtocol>(network, tree, options,
+                                                      dup, adaptive);
+  }
+  DUP_CHECK(false) << "unknown scheme";
+  return nullptr;
+}
+
 Result<metrics::RunMetrics> SimulationDriver::Run(
     const ExperimentConfig& config) {
   SimulationDriver driver(config);
@@ -113,35 +132,13 @@ Status SimulationDriver::Init() {
   options.cache_passing_replies = config_.cache_passing_replies;
   options.per_copy_ttl = config_.per_copy_ttl;
   options.count_forwarded_queries = config_.count_forwarded_queries;
-  switch (config_.scheme) {
-    case Scheme::kPcx:
-      protocol_ = std::make_unique<proto::PcxProtocol>(network_.get(),
-                                                       tree_.get(), options);
-      break;
-    case Scheme::kCup:
-      protocol_ = std::make_unique<proto::CupProtocol>(
-          network_.get(), tree_.get(), options, config_.cup);
-      break;
-    case Scheme::kDup: {
-      auto dup = std::make_unique<core::DupProtocol>(
-          network_.get(), tree_.get(), options, config_.dup);
-      dup_protocol_ = dup.get();
-      protocol_ = std::move(dup);
-      break;
-    }
-    case Scheme::kAdaptive: {
-      auto adaptive = std::make_unique<core::AdaptiveProtocol>(
-          network_.get(), tree_.get(), options, config_.dup,
-          config_.adaptive);
-      adaptive_protocol_ = adaptive.get();
-      // The adaptive protocol is-a DupProtocol: aliasing it here gives the
-      // end-of-run reconvergence (FinalizeAudit's refresh + prune) the DUP
-      // soft-state cleanup for free.
-      dup_protocol_ = adaptive.get();
-      protocol_ = std::move(adaptive);
-      break;
-    }
-  }
+  protocol_ = MakeProtocol(config_.scheme, network_.get(), tree_.get(),
+                           options, config_.cup, config_.dup, config_.adaptive);
+  // The adaptive protocol is-a DupProtocol: aliasing it as dup_protocol_
+  // gives the end-of-run reconvergence (FinalizeAudit's refresh + prune) the
+  // DUP soft-state cleanup for free.
+  dup_protocol_ = dynamic_cast<core::DupProtocol*>(protocol_.get());
+  adaptive_protocol_ = dynamic_cast<core::AdaptiveProtocol*>(protocol_.get());
   network_->set_sink(protocol_.get());
 
   // --- Workload -----------------------------------------------------------

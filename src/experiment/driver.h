@@ -25,6 +25,13 @@
 
 namespace dupnet::experiment {
 
+/// The protocol for `scheme` over `network` and `tree`: the one scheme
+/// switch behind SimulationDriver and multikey::MultiKeySimulation.
+std::unique_ptr<proto::TreeProtocolBase> MakeProtocol(
+    Scheme scheme, net::OverlayNetwork* network, topo::IndexSearchTree* tree,
+    const proto::ProtocolOptions& options, const proto::CupOptions& cup,
+    const core::DupOptions& dup, const proto::AdaptiveOptions& adaptive);
+
 /// Wires topology + workload + protocol + metrics into one simulation run.
 ///
 /// One-shot use:

@@ -6,11 +6,9 @@
 
 #include "chord/tree_builder.h"
 #include "core/adaptive_protocol.h"
-#include "core/dup_protocol.h"
+#include "experiment/driver.h"
 #include "experiment/manifest.h"
 #include "experiment/parallel_runner.h"
-#include "proto/cup.h"
-#include "proto/pcx.h"
 #include "util/check.h"
 #include "util/str.h"
 
@@ -183,25 +181,10 @@ Status MultiKeySimulation::Init() {
         &shard.engine, &key.rng, key.recorder.get(),
         config_.hop_latency_mean);
     key.network->set_faults(config_.faults);
-    switch (config_.scheme) {
-      case experiment::Scheme::kPcx:
-        key.protocol = std::make_unique<proto::PcxProtocol>(
-            key.network.get(), key.tree.get(), options);
-        break;
-      case experiment::Scheme::kCup:
-        key.protocol = std::make_unique<proto::CupProtocol>(
-            key.network.get(), key.tree.get(), options);
-        break;
-      case experiment::Scheme::kDup:
-        key.protocol = std::make_unique<core::DupProtocol>(
-            key.network.get(), key.tree.get(), options, config_.dup);
-        break;
-      case experiment::Scheme::kAdaptive:
-        key.protocol = std::make_unique<core::AdaptiveProtocol>(
-            key.network.get(), key.tree.get(), options, config_.dup,
-            config_.adaptive);
-        break;
-    }
+    // Multikey mode has no cup_policy key: CUP keys run the default policy.
+    key.protocol = experiment::MakeProtocol(
+        config_.scheme, key.network.get(), key.tree.get(), options,
+        proto::CupOptions(), config_.dup, config_.adaptive);
     key.network->set_sink(key.protocol.get());
 
     util::Rng perm = key.rng.Fork();

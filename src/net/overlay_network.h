@@ -19,9 +19,9 @@ namespace dupnet::net {
 
 class Transport;
 
-/// Observer interface for message-level events (see trace::NetworkTracer
-/// for the standard ring-buffer implementation). Purely diagnostic: the
-/// observer must not mutate protocol or network state.
+/// Observer interface for message-level events (trace::JsonlTraceWriter is
+/// the standard implementation). Purely diagnostic: the observer must not
+/// mutate protocol or network state.
 class MessageObserver {
  public:
   virtual ~MessageObserver() = default;

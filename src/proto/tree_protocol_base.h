@@ -12,6 +12,8 @@
 
 namespace dupnet::proto {
 
+class CupInterest;
+
 /// Shared machinery of PCX, CUP and DUP: the path-caching query/reply flow
 /// along the index search tree, per-node caches, and access-tracking-based
 /// interest measurement. Subclasses add the propagation behaviour.
@@ -64,6 +66,10 @@ class TreeProtocolBase : public Protocol {
   const ProtocolOptions& options() const { return options_; }
 
  protected:
+  /// CUP's interest machinery is a component of its host protocol (CUP,
+  /// or adaptive in its CUP regime) and sends through the host.
+  friend class CupInterest;
+
   /// Per-dispatch node state, packed for one-cache-line access. The
   /// interest tracker's timestamps live in the strided stamp arena (see
   /// class comment); only the ring cursors sit here.

@@ -9,6 +9,18 @@
 
 namespace dupnet::trace {
 
+std::string_view EventKindToString(EventKind kind) {
+  switch (kind) {
+    case EventKind::kSend:
+      return "SEND";
+    case EventKind::kDeliver:
+      return "DELIVER";
+    case EventKind::kDrop:
+      return "DROP";
+  }
+  return "UNKNOWN";
+}
+
 namespace {
 
 constexpr const char* kClassNames[metrics::kNumHopClasses] = {

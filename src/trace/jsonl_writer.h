@@ -9,10 +9,32 @@
 
 #include "metrics/recorder.h"
 #include "net/overlay_network.h"
-#include "trace/trace.h"
 #include "util/status.h"
 
 namespace dupnet::trace {
+
+/// What happened to a message.
+enum class EventKind : uint8_t {
+  kSend,     ///< Handed to the overlay.
+  kDeliver,  ///< Arrived at its destination.
+  kDrop,     ///< Lost in flight: down endpoint, random loss (FaultConfig
+             ///< loss_rate), or a test LossFilter.
+};
+
+std::string_view EventKindToString(EventKind kind);
+
+/// One traced message event (a compact copy of the interesting fields; the
+/// request/reply route vector is summarised by its length).
+struct TraceEvent {
+  sim::SimTime time = 0.0;
+  EventKind kind = EventKind::kSend;
+  net::MessageType type = net::MessageType::kRequest;
+  NodeId from = kInvalidNode;
+  NodeId to = kInvalidNode;
+  NodeId subject = kInvalidNode;
+  IndexVersion version = 0;
+  uint32_t hops = 0;
+};
 
 /// Deterministic per-message-class sampling policy for streamed traces.
 /// `every[c]` keeps the 1st, (1+every)-th, (1+2*every)-th … event of hop
@@ -31,19 +53,18 @@ struct TraceSampling {
   std::string ToString() const;
 };
 
-/// Streaming counterpart of NetworkTracer: a net::MessageObserver that
-/// appends one compact JSON object per observed send/deliver/drop to a
-/// file, so a run's message history survives the process and can be
-/// inspected, grepped, or replayed offline:
+/// The message tracer: a net::MessageObserver that appends one compact
+/// JSON object per observed send/deliver/drop to a file, so a run's message
+/// history survives the process and can be inspected, grepped, or replayed
+/// offline:
 ///
 ///   {"t":12.5,"kind":"DELIVER","type":"Push","from":0,"to":6,
 ///    "subject":4294967295,"v":3,"hops":1}
 ///
-/// Unlike the bounded in-memory TraceBuffer this never evicts, so
-/// full-scale runs should decimate via TraceSampling (the `trace_sample`
-/// knob); the per-class `seen` totals are appended as a trailer comment
-/// line ("#trace ..."), letting consumers recover true counts from a
-/// sampled file.
+/// It never evicts, so full-scale runs should decimate via TraceSampling
+/// (the `trace_sample` knob); the per-class `seen` totals are appended as a
+/// trailer comment line ("#trace ..."), letting consumers recover true
+/// counts from a sampled file.
 class JsonlTraceWriter : public net::MessageObserver {
  public:
   /// Opens (truncates) `path`. The writer owns the stream.

@@ -243,9 +243,10 @@ TEST_F(AdaptiveProtocolTest, WarmKeyRunsCupWithDemandDrivenPushes) {
   // Node 6 is interested (> threshold_c queries); its next query fires the
   // one-shot interest notification toward its parent.
   harness_.QueryAt(6);
-  const std::vector<NodeId> notified = protocol_->NotifiedNodes();
+  const std::vector<NodeId> notified =
+      protocol_->cup_interest().NotifiedNodes();
   EXPECT_TRUE(std::binary_search(notified.begin(), notified.end(), NodeId{6}));
-  EXPECT_TRUE(protocol_->HasDemandBranch(5, 6));
+  EXPECT_TRUE(protocol_->cup_interest().HasBranchEntry(5, 6));
   // The publish travels hop-by-hop down the demand path 1-2-3-5-6.
   harness_.Publish(3);
   EXPECT_EQ(protocol_->regime(), AdaptiveRegime::kCup);

@@ -4,10 +4,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/dup_protocol.h"
 #include "experiment/config.h"
 #include "experiment/driver.h"
 #include "experiment/manifest.h"
@@ -16,6 +18,7 @@
 #include "metrics/run_manifest.h"
 #include "net/message.h"
 #include "trace/jsonl_writer.h"
+#include "test_util.h"
 #include "util/json.h"
 
 namespace dupnet {
@@ -146,6 +149,75 @@ TEST(JsonlTraceWriterTest, ZeroDropsAClassEntirely) {
   EXPECT_EQ(writer.events_written(), 1u);  // Only the request survived.
 }
 
+// Every event line `stream` holds, parsed back (comment lines skipped).
+std::vector<trace::TraceEvent> ReadEvents(std::FILE* stream) {
+  std::fflush(stream);
+  std::rewind(stream);
+  std::vector<trace::TraceEvent> events;
+  char line[512];
+  while (std::fgets(line, sizeof line, stream) != nullptr) {
+    std::string_view text(line);
+    if (!text.empty() && text.back() == '\n') text.remove_suffix(1);
+    auto event = trace::JsonlTraceWriter::ParseLine(text);
+    if (event.ok()) events.push_back(*event);
+  }
+  return events;
+}
+
+TEST(JsonlTraceWriterTest, ObservesLiveProtocolTraffic) {
+  testing::ProtocolHarness harness(testing::MakePaperTree());
+  core::DupProtocol protocol(&harness.network(), &harness.tree(),
+                             proto::ProtocolOptions());
+  harness.Attach(&protocol);
+  std::FILE* stream = std::tmpfile();
+  ASSERT_NE(stream, nullptr);
+  trace::JsonlTraceWriter writer(stream, trace::TraceSampling(),
+                                 /*owns_stream=*/true);
+  harness.network().set_observer(&writer);
+
+  protocol.OnRootPublish(1, 3600.0);
+  protocol.ForceSubscribe(6);
+  harness.Drain();
+  protocol.OnRootPublish(2, 7200.0);
+  harness.Drain();
+
+  size_t subscribes = 0, pushes = 0, sends = 0, delivers = 0, drops = 0;
+  for (const trace::TraceEvent& event : ReadEvents(stream)) {
+    subscribes += event.type == net::MessageType::kSubscribe ? 1 : 0;
+    pushes += event.type == net::MessageType::kPush ? 1 : 0;
+    sends += event.kind == trace::EventKind::kSend ? 1 : 0;
+    delivers += event.kind == trace::EventKind::kDeliver ? 1 : 0;
+    drops += event.kind == trace::EventKind::kDrop ? 1 : 0;
+  }
+  // The subscribe climbed 4 hops: 4 sends + 4 delivers.
+  EXPECT_EQ(subscribes, 8u);
+  // The direct push: 1 send + 1 deliver.
+  EXPECT_EQ(pushes, 2u);
+  // Every send has a matching deliver (nothing dropped).
+  EXPECT_EQ(sends, delivers);
+  EXPECT_EQ(drops, 0u);
+}
+
+TEST(JsonlTraceWriterTest, RecordsDrops) {
+  testing::ProtocolHarness harness(testing::MakePaperTree());
+  core::DupProtocol protocol(&harness.network(), &harness.tree(),
+                             proto::ProtocolOptions());
+  harness.Attach(&protocol);
+  std::FILE* stream = std::tmpfile();
+  ASSERT_NE(stream, nullptr);
+  trace::JsonlTraceWriter writer(stream, trace::TraceSampling(),
+                                 /*owns_stream=*/true);
+  harness.network().set_observer(&writer);
+
+  harness.network().SetNodeDown(6, true);
+  harness.network().Send(PushMessage(1, 6));
+  harness.Drain();
+  const std::vector<trace::TraceEvent> events = ReadEvents(stream);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events.front().kind, trace::EventKind::kDrop);
+  EXPECT_EQ(events.front().to, 6u);
+}
+
 TEST(TraceSamplingTest, ParseAcceptsUniformAndPerClassForms) {
   auto uniform = trace::TraceSampling::Parse("4");
   ASSERT_TRUE(uniform.ok());
@@ -198,7 +270,7 @@ std::vector<std::string> ReadLines(const std::string& path) {
 }
 
 TEST(TraceIntegrationTest, DriverStreamsParsableTraceWithTrailer) {
-  const std::string path = testing::TempDir() + "/dup_trace_driver.jsonl";
+  const std::string path = ::testing::TempDir() + "/dup_trace_driver.jsonl";
   experiment::ExperimentConfig config = SmallConfig();
   config.trace_path = path;
 
@@ -230,7 +302,7 @@ TEST(TraceIntegrationTest, SampledTracingDoesNotPerturbMetrics) {
   ASSERT_TRUE(baseline.ok());
 
   experiment::ExperimentConfig traced = SmallConfig();
-  traced.trace_path = testing::TempDir() + "/dup_trace_determinism.jsonl";
+  traced.trace_path = ::testing::TempDir() + "/dup_trace_determinism.jsonl";
   traced.trace_sample = "10,0,1,2";  // Uneven on purpose: still no RNG.
   auto with_trace = experiment::SimulationDriver::Run(traced);
   ASSERT_TRUE(with_trace.ok());
@@ -247,7 +319,7 @@ TEST(TraceIntegrationTest, SampledTracingDoesNotPerturbMetrics) {
 }
 
 TEST(TraceIntegrationTest, ReplicatorDerivesUniquePerRunPaths) {
-  const std::string base = testing::TempDir() + "/dup_trace_sweep.jsonl";
+  const std::string base = ::testing::TempDir() + "/dup_trace_sweep.jsonl";
   experiment::ExperimentConfig config = SmallConfig();
   config.measure_time = 600.0;
   config.trace_path = base;
@@ -255,8 +327,9 @@ TEST(TraceIntegrationTest, ReplicatorDerivesUniquePerRunPaths) {
   auto sweep = experiment::RunSweep({config}, /*replications=*/2, /*jobs=*/2);
   ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
 
-  const std::string rep0 = testing::TempDir() + "/dup_trace_sweep.p0.r0.jsonl";
-  const std::string rep1 = testing::TempDir() + "/dup_trace_sweep.p0.r1.jsonl";
+  const std::string dir = ::testing::TempDir();
+  const std::string rep0 = dir + "/dup_trace_sweep.p0.r0.jsonl";
+  const std::string rep1 = dir + "/dup_trace_sweep.p0.r1.jsonl";
   for (const std::string& path : {rep0, rep1}) {
     std::FILE* file = std::fopen(path.c_str(), "rb");
     EXPECT_NE(file, nullptr) << path << " was not written";

@@ -204,9 +204,9 @@ TEST_F(CupTest, SplitJoinInheritsBranchDemand) {
   // N5' inherited N5's branch entry for N6, and N5 re-keyed the branch
   // under its new child N5' — neither a duplicate registration for the
   // departed key nor lost interest.
-  EXPECT_TRUE(protocol_->HasBranchEntry(56, 6));
-  EXPECT_TRUE(protocol_->HasBranchEntry(5, 56));
-  EXPECT_FALSE(protocol_->HasBranchEntry(5, 6));
+  EXPECT_TRUE(protocol_->interest().HasBranchEntry(56, 6));
+  EXPECT_TRUE(protocol_->interest().HasBranchEntry(5, 56));
+  EXPECT_FALSE(protocol_->interest().HasBranchEntry(5, 6));
   EXPECT_TRUE(protocol_->WouldPushTo(56, 6));
   EXPECT_TRUE(protocol_->WouldPushTo(5, 56));
   const auto audit = harness_.Audit();
@@ -229,7 +229,7 @@ TEST_F(CupTest, InterestRegisterInFlightAcrossSplitIsRerouted) {
   // The stale register reached N5 from a node that is no longer its child
   // and was re-routed to N6's new parent N5', so the registration
   // invariant (notified node => parent holds its branch entry) holds.
-  EXPECT_TRUE(protocol_->HasBranchEntry(56, 6));
+  EXPECT_TRUE(protocol_->interest().HasBranchEntry(56, 6));
   EXPECT_TRUE(protocol_->WouldPushTo(56, 6));
   const auto audit = harness_.Audit();
   EXPECT_TRUE(audit.ok()) << audit.ToString();
@@ -383,10 +383,10 @@ TEST_F(CupTest, SplitInheritedDemandSurvivesSlotRecycling) {
   ASSERT_TRUE(harness_.tree().SplitEdge(56, 6, 57).ok());
   protocol_->OnSplitJoined(57, 56, 6);
   harness_.Drain();
-  EXPECT_TRUE(protocol_->HasBranchEntry(57, 6));
+  EXPECT_TRUE(protocol_->interest().HasBranchEntry(57, 6));
   EXPECT_TRUE(protocol_->WouldPushTo(57, 6));
-  EXPECT_TRUE(protocol_->HasBranchEntry(56, 57));
-  EXPECT_FALSE(protocol_->HasBranchEntry(56, 6));
+  EXPECT_TRUE(protocol_->interest().HasBranchEntry(56, 57));
+  EXPECT_FALSE(protocol_->interest().HasBranchEntry(56, 6));
   const auto audit = harness_.Audit();
   EXPECT_TRUE(audit.ok()) << audit.ToString();
   // The next update still reaches the interested node through both

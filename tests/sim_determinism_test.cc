@@ -58,7 +58,20 @@ const GoldenRow kGolden[] = {
     {Scheme::kDup, true, 3564u, 0.039842873176206543, 0.40937149270482603,
      0.96268237934904599, 0.011223344556677889, 165u, 153u, 285u, 856u,
      0.89581905414667584, 1459u, 1307u, 80u, 107u, 1u, 0u, 0u, 1u, 2u},
+    // Adaptive rows: captured before the adaptive protocol's CUP regime
+    // moved onto CupProtocol's interest code, on the three-act migration
+    // scenario in ConfigFor (PCX -> CUP -> DUP -> PCX).
+    {Scheme::kAdaptive, false, 5045u, 0.22438057482656129,
+     0.60891972249752235, 0.91833498513379586, 0.26184340931615463, 1132u,
+     1132u, 416u, 392u, 1.0, 3072u, 3072u, 0u, 0u, 0u, 0u, 1u, 6u, 7u},
+    {Scheme::kAdaptive, true, 4947u, 0.14028704265211253,
+     0.60582171012734987, 0.93875075803517283, 0.050131392763290886, 891u,
+     771u, 464u, 871u, 0.95195195195195192, 2997u, 2853u, 144u, 138u, 0u,
+     0u, 1u, 4u, 7u},
 };
+
+// Length of each adaptive row's migration log (lossless, lossy).
+constexpr size_t kAdaptiveMigrations[] = {3, 3};
 
 ExperimentConfig ConfigFor(const GoldenRow& row) {
   ExperimentConfig config;
@@ -70,6 +83,20 @@ ExperimentConfig ConfigFor(const GoldenRow& row) {
   config.warmup_time = 600.0;
   config.measure_time = 1800.0;
   config.seed = 11;
+  if (row.scheme == Scheme::kAdaptive) {
+    // A warm trickle (CUP territory), a flash crowd with a drifting hot set
+    // (DUP), then near-silence (back to PCX) — adaptive_test.cc's
+    // migration scenario.
+    config.lambda = 0.5;
+    config.ttl = 300.0;
+    config.measure_time = 2400.0;
+    config.dup.max_arity = 4;
+    config.adaptive.demand_window = 600.0;
+    config.adaptive.cup_enter_per_update = 30.0;
+    config.adaptive.dup_enter_per_update = 400.0;
+    config.adaptive.query_saturation = 8192;
+    config.phases = {{1200.0, 16.0, 16}, {1800.0, 0.01, 0}};
+  }
   if (row.lossy) {
     config.faults.loss_rate = 0.05;
     config.faults.jitter = 0.02;
@@ -115,6 +142,8 @@ const char* RowName(const GoldenRow& row) {
       return row.lossy ? "cup/lossy" : "cup/lossless";
     case Scheme::kDup:
       return row.lossy ? "dup/lossy" : "dup/lossless";
+    case Scheme::kAdaptive:
+      return row.lossy ? "adaptive/lossy" : "adaptive/lossless";
   }
   return "?";
 }
@@ -195,6 +224,30 @@ TEST(SimDeterminismTest, CheckpointAuditingIsBitIdenticalToAuditOff) {
                           RowName(kGolden[i]));
     }
   }
+}
+
+// The adaptive rows' migration logs are part of the golden contract too:
+// the same scenario must migrate at the same ticks, and it must visit all
+// three regimes so the golden covers every handover.
+TEST(SimDeterminismTest, AdaptiveMigrationLogMatchesGolden) {
+  size_t adaptive_row = 0;
+  for (const GoldenRow& row : kGolden) {
+    if (row.scheme != Scheme::kAdaptive) continue;
+    SCOPED_TRACE(RowName(row));
+    SimulationDriver driver(ConfigFor(row));
+    ASSERT_TRUE(driver.Init().ok());
+    driver.RunToCompletion();
+    ExpectMatchesGolden(driver.Collect(), row, RowName(row));
+    const auto& migrations =
+        driver.adaptive_protocol()->controller().migrations();
+    EXPECT_EQ(migrations.size(), kAdaptiveMigrations[adaptive_row++]);
+    bool visited[3] = {false, false, false};
+    for (const auto& m : migrations) {
+      visited[static_cast<int>(m.to)] = true;
+    }
+    EXPECT_TRUE(visited[0] && visited[1] && visited[2]);
+  }
+  EXPECT_EQ(adaptive_row, std::size(kAdaptiveMigrations));
 }
 
 TEST(SimDeterminismTest, RerunningIsBitIdentical) {
