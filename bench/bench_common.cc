@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "experiment/config_keys.h"
 #include "multikey/simulation.h"
@@ -121,6 +122,29 @@ std::vector<metrics::ReplicationSummary> MustRunSweep(
   DUP_CHECK(sweep.ok()) << sweep.status().ToString();
   PrintBatchTiming(sweep->timing);
   return std::move(sweep->points);
+}
+
+experiment::TableReport LatencyCostTable(
+    std::string title, std::vector<std::string> point_columns) {
+  for (const char* column : {"PCX latency", "CUP latency", "DUP latency",
+                             "CUP cost/PCX", "DUP cost/PCX"}) {
+    point_columns.push_back(column);
+  }
+  return experiment::TableReport(std::move(title), std::move(point_columns));
+}
+
+void AddLatencyCostRow(experiment::TableReport* table,
+                       std::vector<std::string> point_cells,
+                       const experiment::SchemeComparison& cmp) {
+  for (const auto* scheme : {&cmp.pcx, &cmp.cup, &cmp.dup}) {
+    point_cells.push_back(
+        experiment::CiCell(scheme->latency.mean, scheme->latency.half_width));
+  }
+  point_cells.push_back(
+      experiment::PercentCell(cmp.cup_cost_relative_to_pcx()));
+  point_cells.push_back(
+      experiment::PercentCell(cmp.dup_cost_relative_to_pcx()));
+  table->AddRow(std::move(point_cells));
 }
 
 void MaybeWriteCsv(const experiment::TableReport& table,

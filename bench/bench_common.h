@@ -93,6 +93,18 @@ std::vector<metrics::ReplicationSummary> MustRunSweep(
     const std::vector<experiment::ExperimentConfig>& points,
     const BenchSettings& settings);
 
+/// Figures 4 and 6-8 share one table: the sweep point's own columns, then
+/// panel (a), PCX/CUP/DUP latency with 95% CIs, and panel (b), CUP and DUP
+/// cost relative to PCX.
+experiment::TableReport LatencyCostTable(
+    std::string title, std::vector<std::string> point_columns);
+
+/// Adds one sweep point to a LatencyCostTable: `point_cells`, then the
+/// five panel cells of `cmp`.
+void AddLatencyCostRow(experiment::TableReport* table,
+                       std::vector<std::string> point_cells,
+                       const experiment::SchemeComparison& cmp);
+
 /// If DUP_BENCH_CSV_DIR is set, writes the table as
 /// "<dir>/<exhibit>.csv" for downstream plotting and says so on stdout.
 void MaybeWriteCsv(const experiment::TableReport& table,

@@ -22,22 +22,10 @@ int main() {
   }
   const auto sweep = MustCompareSweep(points, settings);
 
-  experiment::TableReport table(
-      "(a) latency; (b) cost relative to PCX",
-      {"theta", "PCX latency", "CUP latency", "DUP latency", "CUP cost/PCX",
-       "DUP cost/PCX"});
+  experiment::TableReport table =
+      LatencyCostTable("(a) latency; (b) cost relative to PCX", {"theta"});
   for (size_t p = 0; p < thetas.size(); ++p) {
-    const double theta = thetas[p];
-    const experiment::SchemeComparison& cmp = sweep[p];
-    table.AddRow({util::StrFormat("%g", theta),
-                  experiment::CiCell(cmp.pcx.latency.mean,
-                                     cmp.pcx.latency.half_width),
-                  experiment::CiCell(cmp.cup.latency.mean,
-                                     cmp.cup.latency.half_width),
-                  experiment::CiCell(cmp.dup.latency.mean,
-                                     cmp.dup.latency.half_width),
-                  experiment::PercentCell(cmp.cup_cost_relative_to_pcx()),
-                  experiment::PercentCell(cmp.dup_cost_relative_to_pcx())});
+    AddLatencyCostRow(&table, {util::StrFormat("%g", thetas[p])}, sweep[p]);
   }
   table.Print();
   MaybeWriteCsv(table, "fig7_zipf");

@@ -30,24 +30,15 @@ int main() {
   }
   const auto sweep = MustCompareSweep(points, settings);
 
-  experiment::TableReport table(
-      "(a) latency; (b) cost relative to PCX",
-      {"lambda", "alpha", "PCX latency", "CUP latency", "DUP latency",
-       "CUP cost/PCX", "DUP cost/PCX"});
+  experiment::TableReport table = LatencyCostTable(
+      "(a) latency; (b) cost relative to PCX", {"lambda", "alpha"});
   size_t p = 0;
   for (double lambda : lambdas) {
     for (double alpha : alphas) {
-      const experiment::SchemeComparison& cmp = sweep[p++];
-      table.AddRow(
-          {util::StrFormat("%g", lambda), util::StrFormat("%.2f", alpha),
-           experiment::CiCell(cmp.pcx.latency.mean,
-                              cmp.pcx.latency.half_width),
-           experiment::CiCell(cmp.cup.latency.mean,
-                              cmp.cup.latency.half_width),
-           experiment::CiCell(cmp.dup.latency.mean,
-                              cmp.dup.latency.half_width),
-           experiment::PercentCell(cmp.cup_cost_relative_to_pcx()),
-           experiment::PercentCell(cmp.dup_cost_relative_to_pcx())});
+      AddLatencyCostRow(&table,
+                        {util::StrFormat("%g", lambda),
+                         util::StrFormat("%.2f", alpha)},
+                        sweep[p++]);
     }
     table.AddSeparator();
   }

@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the core data structures: the
-// event queue (closure and typed paths), the subscriber list, Chord
-// lookups, Zipf sampling, SHA-1 and a full end-to-end mini simulation.
+// event queue and engine (typed events, the only kind), the subscriber
+// list, Chord lookups, Zipf sampling, SHA-1 and a full end-to-end mini
+// simulation.
 //
 // Besides the google-benchmark suite, main() runs a calibrated measurement
 // pass — events/sec plus a heap-allocation census — and records it to
@@ -74,23 +75,6 @@ uint64_t AllocCount() {
 // google-benchmark suite.
 // --------------------------------------------------------------------------
 
-void BM_EventQueuePushPop(benchmark::State& state) {
-  const size_t batch = static_cast<size_t>(state.range(0));
-  util::Rng rng(1);
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    for (size_t i = 0; i < batch; ++i) {
-      queue.Push(rng.NextDouble(), [] {});
-    }
-    while (!queue.empty()) {
-      benchmark::DoNotOptimize(queue.Pop());
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_EventQueuePushPop)->Range(64, 65536);
-
 /// Trivial target for queue/engine benches.
 class NullTarget : public sim::EventTarget {
  public:
@@ -114,21 +98,6 @@ void BM_EventQueueTypedPushPop(benchmark::State& state) {
                           static_cast<int64_t>(batch));
 }
 BENCHMARK(BM_EventQueueTypedPushPop)->Range(64, 65536);
-
-void BM_EngineEventChain(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Engine engine;
-    int remaining = 10000;
-    std::function<void()> tick = [&] {
-      if (--remaining > 0) engine.ScheduleAfter(0.1, tick);
-    };
-    engine.ScheduleAfter(0.1, tick);
-    engine.Run();
-    benchmark::DoNotOptimize(engine.processed());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 10000);
-}
-BENCHMARK(BM_EngineEventChain);
 
 /// Self-rescheduling typed tick: arg counts the remaining events.
 class ChainTicker : public sim::EventTarget {

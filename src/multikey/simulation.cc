@@ -210,6 +210,10 @@ Status MultiKeySimulation::Init() {
     key.shard->engine.ScheduleAt(key.phase_offset, key.shard, kEventPublish,
                                  k);
     ScheduleNextQuery(k);
+    if (config_.faults.refresh_interval > 0.0) {
+      ScheduleBeforeHorizon(k, config_.faults.refresh_interval,
+                            kEventRefresh);
+    }
   }
   return Status::OK();
 }
@@ -225,6 +229,9 @@ void MultiKeySimulation::Shard::OnSimEvent(uint32_t code, uint64_t arg) {
     case kEventPublish:
       sim->FirePublish(static_cast<size_t>(arg));
       break;
+    case kEventRefresh:
+      sim->FireRefresh(static_cast<size_t>(arg));
+      break;
     default:
       DUP_CHECK(false) << "unknown multikey event code " << code;
   }
@@ -237,16 +244,24 @@ void MultiKeySimulation::EndWarmup(Shard* shard) {
   }
 }
 
-void MultiKeySimulation::ScheduleNextQuery(size_t key_index) {
-  KeyState& key = keys_[key_index];
-  const sim::SimTime next =
-      key.shard->engine.Now() + key.arrivals->NextInterArrival(&key.rng);
+void MultiKeySimulation::ScheduleBeforeHorizon(size_t key_index,
+                                               sim::SimTime time,
+                                               uint32_t code) {
   // Strictly before the horizon: an event at t == horizon_end_ would be
   // both scheduled and fired by RunUntil, half a measurement interval past
   // the last full one (the old <=/>= mismatch this replaces).
-  if (next < horizon_end_) {
-    key.shard->engine.ScheduleAt(next, key.shard, kEventQuery, key_index);
+  if (time < horizon_end_) {
+    Shard* shard = keys_[key_index].shard;
+    shard->engine.ScheduleAt(time, shard, code, key_index);
   }
+}
+
+void MultiKeySimulation::ScheduleNextQuery(size_t key_index) {
+  KeyState& key = keys_[key_index];
+  ScheduleBeforeHorizon(
+      key_index,
+      key.shard->engine.Now() + key.arrivals->NextInterArrival(&key.rng),
+      kEventQuery);
 }
 
 void MultiKeySimulation::FireQuery(size_t key_index) {
@@ -262,10 +277,16 @@ void MultiKeySimulation::FirePublish(size_t key_index) {
   const IndexVersion version = key.next_version++;
   ++key.publishes;
   key.protocol->OnRootPublish(version, engine.Now() + config_.ttl);
-  const sim::SimTime next = engine.Now() + schedule_->period();
-  if (next < horizon_end_) {
-    engine.ScheduleAt(next, key.shard, kEventPublish, key_index);
-  }
+  ScheduleBeforeHorizon(key_index, engine.Now() + schedule_->period(),
+                        kEventPublish);
+}
+
+void MultiKeySimulation::FireRefresh(size_t key_index) {
+  KeyState& key = keys_[key_index];
+  ScheduleBeforeHorizon(
+      key_index, key.shard->engine.Now() + config_.faults.refresh_interval,
+      kEventRefresh);
+  key.protocol->OnSoftStateRefresh();
 }
 
 void MultiKeySimulation::RunToCompletion() {

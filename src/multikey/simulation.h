@@ -56,7 +56,9 @@ struct MultiKeyConfig {
   proto::AdaptiveOptions adaptive;
 
   /// Message-level fault model applied to every key's network (default:
-  /// strict no-op, zero extra RNG draws). Must Validate().
+  /// strict no-op, zero extra RNG draws). Must Validate(). A positive
+  /// refresh_interval also runs each key's soft-state refresh on that
+  /// period, as the single-key driver does.
   net::FaultConfig faults;
 
   double warmup_time = 3600.0;
@@ -142,11 +144,12 @@ class MultiKeySimulation {
   static util::Result<MultiKeyResult> Run(const MultiKeyConfig& config);
 
  private:
-  /// Typed event codes. kEventQuery/kEventPublish carry the global key
-  /// index in arg; kEventWarmupEnd is per shard.
+  /// Typed event codes. kEventQuery/kEventPublish/kEventRefresh carry the
+  /// global key index in arg; kEventWarmupEnd is per shard.
   static constexpr uint32_t kEventWarmupEnd = 0;
   static constexpr uint32_t kEventQuery = 1;
   static constexpr uint32_t kEventPublish = 2;
+  static constexpr uint32_t kEventRefresh = 3;
 
   struct Shard;
 
@@ -183,12 +186,16 @@ class MultiKeySimulation {
   void RunToCompletion();
   MultiKeyResult Collect() const;
 
-  /// Draws the key's next inter-arrival and schedules the query iff it
+  /// Schedules the key's event `code` at `time` on its shard iff `time`
   /// lands strictly before the horizon (events at t == horizon are never
   /// scheduled — the strict-boundary contract pinned by the boundary test).
+  void ScheduleBeforeHorizon(size_t key_index, sim::SimTime time,
+                             uint32_t code);
+  /// Draws the key's next inter-arrival and schedules the query.
   void ScheduleNextQuery(size_t key_index);
   void FireQuery(size_t key_index);
   void FirePublish(size_t key_index);
+  void FireRefresh(size_t key_index);
   void EndWarmup(Shard* shard);
 
   /// Per-key decorrelated stream seed: SplitMix64 over (seed, key index),

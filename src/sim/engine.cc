@@ -1,21 +1,8 @@
 #include "sim/engine.h"
 
-#include <utility>
-
 #include "util/check.h"
 
 namespace dupnet::sim {
-
-void Engine::ScheduleAt(SimTime time, std::function<void()> action) {
-  DUP_DCHECK_GE(time, now_) << "ScheduleAt in the past";
-  if (time < now_) time = now_;
-  queue_.Push(time, std::move(action));
-}
-
-void Engine::ScheduleAfter(SimTime delay, std::function<void()> action) {
-  DUP_CHECK_GE(delay, 0.0);
-  queue_.Push(now_ + delay, std::move(action));
-}
 
 void Engine::ScheduleAt(SimTime time, EventTarget* target, uint32_t code,
                         uint64_t arg) {
@@ -32,7 +19,7 @@ void Engine::ScheduleAfter(SimTime delay, EventTarget* target, uint32_t code,
 
 bool Engine::Step() {
   if (queue_.empty()) return false;
-  Event e = queue_.Pop();
+  const Event e = queue_.Pop();
   now_ = e.time;
   ++processed_;
   // Let the *next* event's target start pulling its state into cache while

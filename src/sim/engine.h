@@ -12,11 +12,13 @@ namespace dupnet::sim {
 ///
 /// Usage:
 ///   Engine engine;
-///   engine.ScheduleAfter(1.5, [&] { ... });
+///   engine.ScheduleAfter(1.5, &target, kCode, arg);  // target: EventTarget
 ///   engine.RunUntil(3600.0);
 ///
-/// Events scheduled while running are processed in timestamp order; ties
-/// break in FIFO scheduling order, so execution is deterministic.
+/// Every event is typed: it fires `target->OnSimEvent(code, arg)`, so the
+/// hot path never boxes a closure. Events scheduled while running are
+/// processed in timestamp order; ties break in FIFO scheduling order, so
+/// execution is deterministic.
 class Engine {
  public:
   Engine() = default;
@@ -32,18 +34,15 @@ class Engine {
   void set_scheduler(SchedulerKind kind) { queue_.set_scheduler(kind); }
   SchedulerKind scheduler() const { return queue_.scheduler(); }
 
-  /// Schedules `action` at absolute simulated time `time`. Scheduling in
+  /// Schedules `target->OnSimEvent(code, arg)` at absolute simulated time
+  /// `time`; allocation-free once the event pool is warm. Scheduling in
   /// the past is a contract violation: it fires a DUP_DCHECK in sanitizer
   /// builds and is repaired by clamping `time` to Now() in release builds
   /// (the event still runs, after everything already scheduled for Now()).
-  void ScheduleAt(SimTime time, std::function<void()> action);
-
-  /// Schedules `action` `delay` seconds from Now(). Pre: delay >= 0.
-  void ScheduleAfter(SimTime delay, std::function<void()> action);
-
-  /// Typed, allocation-free variants: fire `target->OnSimEvent(code, arg)`.
   void ScheduleAt(SimTime time, EventTarget* target, uint32_t code,
                   uint64_t arg = 0);
+
+  /// Same, `delay` seconds from Now(). Pre: delay >= 0.
   void ScheduleAfter(SimTime delay, EventTarget* target, uint32_t code,
                      uint64_t arg = 0);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "util/check.h"
 #include "util/hugepage.h"
@@ -58,15 +57,6 @@ void EventQueue::Push(SimTime time, EventTarget* target, uint32_t code,
   node.target = target;
   node.code = code;
   node.arg = arg;
-  Enqueue(time, slot);
-}
-
-void EventQueue::Push(SimTime time, std::function<void()> action) {
-  DUP_CHECK(action != nullptr);
-  uint32_t slot = AcquireSlot();
-  Node& node = pool_[slot];
-  node.target = nullptr;
-  node.action = std::move(action);
   Enqueue(time, slot);
 }
 
@@ -304,18 +294,9 @@ Event EventQueue::Pop() {
     cur_bucket_ = 0;
   }
 
-  Node& node = pool_[ref.slot];
-  Event event;
-  event.time = ref.time;
-  event.seq = ref.seq;
-  event.target = node.target;
-  event.code = node.code;
-  event.arg = node.arg;
-  event.action = std::move(node.action);
-  node.target = nullptr;
-  node.action = nullptr;
+  const Node& node = pool_[ref.slot];
   free_slots_.push_back(ref.slot);
-  return event;
+  return Event{ref.time, ref.seq, node.target, node.code, node.arg};
 }
 
 void EventQueue::StageNext() {
@@ -328,7 +309,7 @@ void EventQueue::StageNext() {
     Settle();
     node = &pool_[lane_.back().slot];
   }
-  if (node->target != nullptr) node->target->PrefetchSimEvent(node->code, node->arg);
+  node->target->PrefetchSimEvent(node->code, node->arg);
 }
 
 void EventQueue::Reserve(size_t events) {

@@ -3,7 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 #include <vector>
 
 namespace dupnet::sim {
@@ -33,28 +33,22 @@ class EventTarget {
   }
 };
 
-/// One dequeued event: either a typed payload (`target` non-null) or a
-/// boxed closure (fallback for one-shot setup events and tests). Events
+/// One dequeued event: `target->OnSimEvent(code, arg)` at `time`. Events
 /// with equal timestamps run in scheduling order (FIFO via the
 /// monotonically increasing sequence number), which makes runs fully
 /// deterministic for a fixed RNG seed.
 struct Event {
   SimTime time = 0.0;
   uint64_t seq = 0;
-  EventTarget* target = nullptr;  ///< Non-null selects the typed path.
+  EventTarget* target = nullptr;  ///< Never null for a popped event.
   uint32_t code = 0;
   uint64_t arg = 0;
-  std::function<void()> action;  ///< Fallback payload (target == nullptr).
 
   /// Dispatches the payload.
-  void Fire() {
-    if (target != nullptr) {
-      target->OnSimEvent(code, arg);
-    } else {
-      action();
-    }
-  }
+  void Fire() const { target->OnSimEvent(code, arg); }
 };
+static_assert(std::is_trivially_copyable_v<Event>,
+              "events are plain data: popping one copies five scalars");
 
 /// Scheduler backing for EventQueue. Both produce the exact same total
 /// order — ascending (time, seq) — so golden RunMetrics are bit-identical
@@ -123,15 +117,11 @@ class EventQueue {
   void set_scheduler(SchedulerKind kind);
   SchedulerKind scheduler() const { return kind_; }
 
-  /// Enqueues a typed event for `target` to fire at absolute time `time`,
-  /// which must be finite (checked in every build). Steady-state
+  /// Enqueues an event for `target` (non-null) to fire at absolute time
+  /// `time`, which must be finite (checked in every build). Steady-state
   /// allocation-free.
   void Push(SimTime time, EventTarget* target, uint32_t code,
             uint64_t arg = 0);
-
-  /// Enqueues a boxed closure at finite time `time` (fallback path; the
-  /// closure itself may allocate).
-  void Push(SimTime time, std::function<void()> action);
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
@@ -145,10 +135,10 @@ class EventQueue {
   /// recycled immediately.
   Event Pop();
 
-  /// Pre-dispatch staging: announces the next pending typed event to its
-  /// target via EventTarget::PrefetchSimEvent, so the target can warm the
-  /// cache lines that dispatch will touch while the *current* event fires.
-  /// No-op when the queue is empty or the next event is a boxed closure.
+  /// Pre-dispatch staging: announces the next pending event to its target
+  /// via EventTarget::PrefetchSimEvent, so the target can warm the cache
+  /// lines that dispatch will touch while the *current* event fires. No-op
+  /// when the queue is empty.
   void StageNext();
 
   /// Total number of events ever pushed.
@@ -184,7 +174,8 @@ class EventQueue {
 
   /// Pooled payload. `time`/`seq` are duplicated here so bucket chains can
   /// be rebuilt from slots alone; `next` threads the intrusive bucket and
-  /// overflow chains.
+  /// overflow chains. Bucket-chain walks touch one payload per pending
+  /// event, so its size is pinned below.
   struct Node {
     EventTarget* target = nullptr;
     uint64_t arg = 0;
@@ -192,8 +183,8 @@ class EventQueue {
     uint64_t seq = 0;
     uint32_t code = 0;
     uint32_t next = kNilSlot;
-    std::function<void()> action;
   };
+  static_assert(sizeof(Node) == 40, "pooled payload is five 8-byte words");
 
   struct Later {
     bool operator()(const Ref& a, const Ref& b) const {

@@ -284,9 +284,25 @@ TEST_P(MultiKeyShardTest, ShardCountIsMetricsInvariantLossy) {
   config.faults.loss_rate = 0.05;
   config.faults.jitter = 0.02;
   config.faults.retry_max = 2;
+  config.faults.refresh_interval = 900.0;  // Ticks at 900 s and 1800 s.
   auto reference = MultiKeySimulation::Run(config);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   EXPECT_GT(reference->aggregate.delivery.total_dropped(), 0u);
+  // The refresh ticks run: the same run without them processes fewer
+  // events and, for the soft-state schemes, sends fewer control hops.
+  MultiKeyConfig no_refresh = config;
+  no_refresh.faults.refresh_interval = 0.0;
+  auto quiet = MultiKeySimulation::Run(no_refresh);
+  ASSERT_TRUE(quiet.ok()) << quiet.status().ToString();
+  EXPECT_GT(reference->events_processed, quiet->events_processed);
+  if (config.scheme == experiment::Scheme::kPcx) {
+    // PCX keeps no soft state: its refresh tick sends nothing.
+    EXPECT_EQ(reference->aggregate.hops.control(),
+              quiet->aggregate.hops.control());
+  } else {
+    EXPECT_GT(reference->aggregate.hops.control(),
+              quiet->aggregate.hops.control());
+  }
   for (size_t shards : {2u, 4u}) {
     MultiKeyConfig sharded = config;
     sharded.shards = shards;

@@ -17,6 +17,7 @@
 #include "net/message.h"
 #include "net/overlay_network.h"
 #include "sim/engine.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace dupnet::net {
@@ -315,7 +316,9 @@ TEST(NetFaultsTest, RetryReachesDestinationThatCameBackUp) {
   f.network_->SetNodeDown(2, true);
   f.Send(MessageType::kPush, 1, 2);
   // Back up before the first retry timer (t = 1.0) fires.
-  f.engine_.ScheduleAfter(0.5, [&f] { f.network_->SetNodeDown(2, false); });
+  dupnet::testing::ScriptedTarget bring_up(
+      [&f](uint32_t, uint64_t) { f.network_->SetNodeDown(2, false); });
+  f.engine_.ScheduleAfter(0.5, &bring_up, 0);
   f.engine_.Run();
   ASSERT_EQ(f.log_.delivered.size(), 1u);
   const auto& d = f.recorder_.delivery();

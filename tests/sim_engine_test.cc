@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.h"
+#include "test_util.h"
 
 namespace dupnet::sim {
 namespace {
+
+using dupnet::testing::ScriptedTarget;
 
 /// Collects (code, arg) pairs for typed-dispatch assertions.
 class RecordingTarget : public EventTarget {
@@ -17,27 +20,33 @@ class RecordingTarget : public EventTarget {
   void OnSimEvent(uint32_t code, uint64_t arg) override {
     events.emplace_back(code, arg);
   }
+  /// The args in firing order.
+  std::vector<uint64_t> args() const {
+    std::vector<uint64_t> out;
+    for (const auto& event : events) out.push_back(event.second);
+    return out;
+  }
   std::vector<std::pair<uint32_t, uint64_t>> events;
 };
 
 TEST(EventQueueTest, OrdersByTime) {
   EventQueue q;
-  std::vector<int> order;
-  q.Push(3.0, [&] { order.push_back(3); });
-  q.Push(1.0, [&] { order.push_back(1); });
-  q.Push(2.0, [&] { order.push_back(2); });
+  RecordingTarget target;
+  q.Push(3.0, &target, 0, 3);
+  q.Push(1.0, &target, 0, 1);
+  q.Push(2.0, &target, 0, 2);
   while (!q.empty()) q.Pop().Fire();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(target.args(), (std::vector<uint64_t>{1, 2, 3}));
 }
 
 TEST(EventQueueTest, TiesBreakFifo) {
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.Push(5.0, [&order, i] { order.push_back(i); });
-  }
+  RecordingTarget target;
+  for (uint64_t i = 0; i < 10; ++i) q.Push(5.0, &target, 0, i);
   while (!q.empty()) q.Pop().Fire();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+  const std::vector<uint64_t> order = target.args();
+  ASSERT_EQ(order.size(), 10u);
+  for (uint64_t i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(EventQueueTest, TypedEventsCarryTargetCodeAndArg) {
@@ -54,23 +63,6 @@ TEST(EventQueueTest, TypedEventsCarryTargetCodeAndArg) {
   ASSERT_EQ(target.events.size(), 2u);
   EXPECT_EQ(target.events[0], (std::pair<uint32_t, uint64_t>{3u, 9u}));
   EXPECT_EQ(target.events[1], (std::pair<uint32_t, uint64_t>{7u, 42u}));
-}
-
-TEST(EventQueueTest, TypedAndClosureEventsInterleaveInTimeOrder) {
-  EventQueue q;
-  RecordingTarget target;
-  std::vector<int> order;
-  q.Push(2.0, [&] { order.push_back(2); });
-  q.Push(1.0, &target, 0, 1);
-  q.Push(3.0, &target, 0, 3);
-  while (!q.empty()) {
-    Event e = q.Pop();
-    if (e.target != nullptr) {
-      order.push_back(static_cast<int>(e.arg));
-    }
-    e.Fire();
-  }
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueueTest, FifoTieOrderSurvivesInterleavedPopsStress) {
@@ -130,8 +122,9 @@ TEST(EventQueueTest, PoolSlotsAreRecycled) {
 
 TEST(EventQueueTest, PeekTimeMatchesNext) {
   EventQueue q;
-  q.Push(2.0, [] {});
-  q.Push(1.0, [] {});
+  RecordingTarget target;
+  q.Push(2.0, &target, 0);
+  q.Push(1.0, &target, 0);
   EXPECT_DOUBLE_EQ(q.PeekTime(), 1.0);
   q.Pop();
   EXPECT_DOUBLE_EQ(q.PeekTime(), 2.0);
@@ -139,9 +132,10 @@ TEST(EventQueueTest, PeekTimeMatchesNext) {
 
 TEST(EventQueueTest, SizeAndPushedCounters) {
   EventQueue q;
+  RecordingTarget target;
   EXPECT_TRUE(q.empty());
-  q.Push(1.0, [] {});
-  q.Push(2.0, [] {});
+  q.Push(1.0, &target, 0);
+  q.Push(2.0, &target, 0);
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.pushed(), 2u);
   q.Pop();
@@ -156,7 +150,8 @@ TEST(EngineTest, ClockStartsAtZero) {
 
 TEST(EngineTest, StepAdvancesClockToEventTime) {
   Engine engine;
-  engine.ScheduleAt(4.5, [] {});
+  RecordingTarget target;
+  engine.ScheduleAt(4.5, &target, 0);
   EXPECT_TRUE(engine.Step());
   EXPECT_DOUBLE_EQ(engine.Now(), 4.5);
   EXPECT_FALSE(engine.Step());
@@ -165,40 +160,46 @@ TEST(EngineTest, StepAdvancesClockToEventTime) {
 TEST(EngineTest, ScheduleAfterIsRelative) {
   Engine engine;
   double fired_at = -1;
-  engine.ScheduleAt(2.0, [&] {
-    engine.ScheduleAfter(3.0, [&] { fired_at = engine.Now(); });
+  ScriptedTarget target([&](uint32_t code, uint64_t) {
+    if (code == 0) {
+      engine.ScheduleAfter(3.0, &target, 1);
+    } else {
+      fired_at = engine.Now();
+    }
   });
+  engine.ScheduleAt(2.0, &target, 0);
   engine.Run();
   EXPECT_DOUBLE_EQ(fired_at, 5.0);
 }
 
 TEST(EngineTest, RunUntilStopsAtBoundaryAndAdvancesClock) {
   Engine engine;
-  int fired = 0;
-  engine.ScheduleAt(1.0, [&] { ++fired; });
-  engine.ScheduleAt(2.0, [&] { ++fired; });
-  engine.ScheduleAt(10.0, [&] { ++fired; });
+  RecordingTarget target;
+  engine.ScheduleAt(1.0, &target, 0);
+  engine.ScheduleAt(2.0, &target, 0);
+  engine.ScheduleAt(10.0, &target, 0);
   engine.RunUntil(5.0);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(target.events.size(), 2u);
   EXPECT_DOUBLE_EQ(engine.Now(), 5.0);
   EXPECT_EQ(engine.pending(), 1u);
 }
 
 TEST(EngineTest, RunUntilIncludesEventsExactlyAtBoundary) {
   Engine engine;
-  bool fired = false;
-  engine.ScheduleAt(5.0, [&] { fired = true; });
+  RecordingTarget target;
+  engine.ScheduleAt(5.0, &target, 0);
   engine.RunUntil(5.0);
-  EXPECT_TRUE(fired);
+  EXPECT_EQ(target.events.size(), 1u);
 }
 
 TEST(EngineTest, EventsScheduledDuringRunAreProcessed) {
   Engine engine;
   std::vector<double> times;
-  engine.ScheduleAt(1.0, [&] {
+  ScriptedTarget target([&](uint32_t code, uint64_t) {
     times.push_back(engine.Now());
-    engine.ScheduleAfter(0.5, [&] { times.push_back(engine.Now()); });
+    if (code == 0) engine.ScheduleAfter(0.5, &target, 1);
   });
+  engine.ScheduleAt(1.0, &target, 0);
   engine.Run();
   ASSERT_EQ(times.size(), 2u);
   EXPECT_DOUBLE_EQ(times[0], 1.0);
@@ -208,15 +209,17 @@ TEST(EngineTest, EventsScheduledDuringRunAreProcessed) {
 TEST(EngineTest, RunWithEventCapStopsEarly) {
   Engine engine;
   // Self-perpetuating event chain.
-  std::function<void()> loop = [&] { engine.ScheduleAfter(1.0, loop); };
-  engine.ScheduleAfter(1.0, loop);
+  ScriptedTarget loop(
+      [&](uint32_t, uint64_t) { engine.ScheduleAfter(1.0, &loop, 0); });
+  engine.ScheduleAfter(1.0, &loop, 0);
   engine.Run(/*max_events=*/100);
   EXPECT_EQ(engine.processed(), 100u);
 }
 
 TEST(EngineTest, ProcessedCounter) {
   Engine engine;
-  for (int i = 0; i < 7; ++i) engine.ScheduleAt(i, [] {});
+  RecordingTarget target;
+  for (int i = 0; i < 7; ++i) engine.ScheduleAt(i, &target, 0);
   engine.Run();
   EXPECT_EQ(engine.processed(), 7u);
 }
@@ -233,19 +236,6 @@ TEST(EngineTest, TypedScheduleDispatchesThroughTarget) {
   EXPECT_DOUBLE_EQ(engine.Now(), 2.0);
 }
 
-TEST(EngineTest, TypedAndClosureEventsShareTheClock) {
-  Engine engine;
-  RecordingTarget target;
-  std::vector<double> closure_times;
-  engine.ScheduleAt(1.0, &target, 0, 0);
-  engine.ScheduleAt(1.5, [&] { closure_times.push_back(engine.Now()); });
-  engine.ScheduleAt(2.0, &target, 0, 1);
-  engine.Run();
-  EXPECT_EQ(target.events.size(), 2u);
-  ASSERT_EQ(closure_times.size(), 1u);
-  EXPECT_DOUBLE_EQ(closure_times[0], 1.5);
-}
-
 TEST(EngineTest, PoolHighWaterMarkTracksPeakPending) {
   Engine engine;
   RecordingTarget target;
@@ -260,14 +250,15 @@ TEST(EngineTest, PoolHighWaterMarkTracksPeakPending) {
 
 TEST(EngineTest, SameTimeEventsRunInScheduleOrderAcrossNesting) {
   Engine engine;
-  std::vector<int> order;
-  engine.ScheduleAt(1.0, [&] {
-    order.push_back(0);
-    engine.ScheduleAt(1.0, [&] { order.push_back(2); });
+  std::vector<uint64_t> order;
+  ScriptedTarget target([&](uint32_t, uint64_t tag) {
+    order.push_back(tag);
+    if (tag == 0) engine.ScheduleAt(1.0, &target, 0, 2);
   });
-  engine.ScheduleAt(1.0, [&] { order.push_back(1); });
+  engine.ScheduleAt(1.0, &target, 0, 0);
+  engine.ScheduleAt(1.0, &target, 0, 1);
   engine.Run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(order, (std::vector<uint64_t>{0, 1, 2}));
 }
 
 }  // namespace

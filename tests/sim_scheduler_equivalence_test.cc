@@ -10,10 +10,13 @@
 #include "gtest/gtest.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace dupnet::sim {
 namespace {
+
+using dupnet::testing::ScriptedTarget;
 
 struct RecordingTarget : EventTarget {
   void OnSimEvent(uint32_t, uint64_t) override {}
@@ -137,20 +140,23 @@ TEST(SchedulerEquivalenceTest, DrainToEmptyAndReanchor) {
 }
 
 TEST(SchedulerEquivalenceTest, EngineRunsIdenticallyOnBothSchedulers) {
-  // End-to-end: the same closure workload on two engines, one per
+  // End-to-end: the same scripted workload on two engines, one per
   // scheduler, fires in the same order at the same times.
   for (SchedulerKind kind : {SchedulerKind::kHeap, SchedulerKind::kCalendar}) {
     Engine engine;
     engine.set_scheduler(kind);
-    std::vector<int> order;
-    engine.ScheduleAt(2.0, [&order] { order.push_back(1); });
-    engine.ScheduleAt(1.0, [&order, &engine] {
-      order.push_back(2);
-      engine.ScheduleAt(1.0, [&order] { order.push_back(3); });  // Same time.
-      engine.ScheduleAt(1.5, [&order] { order.push_back(4); });
+    std::vector<uint64_t> order;
+    ScriptedTarget target([&](uint32_t, uint64_t tag) {
+      order.push_back(tag);
+      if (tag == 2) {
+        engine.ScheduleAt(1.0, &target, 0, 3);  // Same time.
+        engine.ScheduleAt(1.5, &target, 0, 4);
+      }
     });
+    engine.ScheduleAt(2.0, &target, 0, 1);
+    engine.ScheduleAt(1.0, &target, 0, 2);
     engine.Run();
-    EXPECT_EQ(order, (std::vector<int>{2, 3, 4, 1}))
+    EXPECT_EQ(order, (std::vector<uint64_t>{2, 3, 4, 1}))
         << "scheduler kind " << static_cast<int>(kind);
   }
 }
@@ -225,8 +231,8 @@ TEST(SchedulerEquivalenceTest, MixedHorizonHoldModelMatchesHeapWithoutStorms) {
   for (size_t held : {size_t{200}, size_t{20000}}) {
     for (double near : {0.05, 0.25, 0.5, 0.9}) {
       for (bool reserve : {false, true}) {
-        SCOPED_TRACE(testing::Message() << "held=" << held << " near="
-                                        << near << " reserve=" << reserve);
+        SCOPED_TRACE(::testing::Message() << "held=" << held << " near="
+                                          << near << " reserve=" << reserve);
         LockstepQueues queues(reserve ? held : 0);
         util::Rng rng(0x401dU + held);
         for (size_t i = 0; i < held; ++i) queues.Push(MixedHold(rng, near), i);
@@ -253,8 +259,8 @@ TEST(SchedulerEquivalenceTest, BurstBehindTheCursorMatchesHeap) {
   constexpr uint64_t kBurst = 100000;
   for (bool reserve : {false, true}) {
     for (bool tied : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "reserve=" << reserve
-                                      << " tied=" << tied);
+      SCOPED_TRACE(::testing::Message() << "reserve=" << reserve
+                                        << " tied=" << tied);
       LockstepQueues queues(reserve ? 2 * kBurst : 0);
       util::Rng rng(0xb0257u);
       for (uint64_t i = 0; i < 1000; ++i) {
@@ -294,7 +300,8 @@ TEST(SchedulerEquivalenceDeathTest, NonFiniteEventTimesAbort) {
     EXPECT_DEATH(queue.Push(std::numeric_limits<double>::quiet_NaN(),
                             &target, 0),
                  "non-finite event time nan");
-    EXPECT_DEATH(queue.Push(std::numeric_limits<double>::infinity(), [] {}),
+    EXPECT_DEATH(queue.Push(std::numeric_limits<double>::infinity(),
+                            &target, 0),
                  "non-finite event time inf");
     EXPECT_DEATH(queue.Push(-std::numeric_limits<double>::infinity(),
                             &target, 0),
@@ -302,7 +309,7 @@ TEST(SchedulerEquivalenceDeathTest, NonFiniteEventTimesAbort) {
   }
   Engine engine;
   EXPECT_DEATH(engine.ScheduleAfter(std::numeric_limits<double>::infinity(),
-                                    [] {}),
+                                    &target, 0),
                "non-finite event time inf");
 }
 
@@ -312,10 +319,15 @@ TEST(SchedulerEquivalenceTest, ScheduleAtInThePastClampsToNow) {
   // clamped to now (debug builds assert instead — hence the gate above).
   Engine engine;
   std::vector<SimTime> fired_at;
-  engine.ScheduleAt(5.0, [&] {
-    engine.ScheduleAt(1.0, [&] { fired_at.push_back(engine.Now()); });
+  ScriptedTarget target([&](uint32_t code, uint64_t) {
+    if (code == 0) {
+      engine.ScheduleAt(1.0, &target, 1);
+    } else {
+      fired_at.push_back(engine.Now());
+    }
   });
-  engine.ScheduleAt(6.0, [&] { fired_at.push_back(engine.Now()); });
+  engine.ScheduleAt(5.0, &target, 0);
+  engine.ScheduleAt(6.0, &target, 1);
   engine.Run();
   ASSERT_EQ(fired_at.size(), 2u);
   EXPECT_EQ(fired_at[0], 5.0);  // Clamped, not 1.0 — and time never ran

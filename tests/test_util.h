@@ -1,7 +1,10 @@
 #ifndef DUP_TESTS_TEST_UTIL_H_
 #define DUP_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <utility>
 
 #include "audit/invariant_checker.h"
 #include "metrics/recorder.h"
@@ -13,6 +16,21 @@
 #include "util/rng.h"
 
 namespace dupnet::testing {
+
+/// Test-side sim::EventTarget that hands every event it receives to
+/// `on_event(code, arg)`, so a test can script what an event does (record
+/// the clock, schedule more events) inline.
+class ScriptedTarget : public sim::EventTarget {
+ public:
+  explicit ScriptedTarget(std::function<void(uint32_t, uint64_t)> on_event)
+      : on_event_(std::move(on_event)) {}
+  void OnSimEvent(uint32_t code, uint64_t arg) override {
+    on_event_(code, arg);
+  }
+
+ private:
+  std::function<void(uint32_t, uint64_t)> on_event_;
+};
 
 /// Builds the index search tree of the paper's Figures 1 and 2:
 ///
@@ -73,9 +91,8 @@ class ProtocolHarness {
     Drain();
   }
 
-  /// Advances simulated time without running protocol activity.
+  /// Advances simulated time by `delta`, running whatever falls due.
   void AdvanceTime(sim::SimTime delta) {
-    engine_.ScheduleAfter(delta, [] {});
     engine_.RunUntil(engine_.Now() + delta);
   }
 
