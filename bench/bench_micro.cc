@@ -9,7 +9,9 @@
 // covers both the bare typed engine AND whole PCX/CUP/DUP simulations: each
 // full sim runs twice, the first run sizing every pool (events, in-flight
 // messages, FIFO pair clocks), the second hard-asserting that a fully
-// prewarmed run performs zero heap allocations end to end.
+// prewarmed run performs zero heap allocations end to end. A last row
+// weighs the end-of-run invariant audit: the bytes one AuditQuiescent over
+// the DUP run allocates, hard-asserted below 16 B per node.
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +25,7 @@
 #include "bench_common.h"
 #include "chord/ring.h"
 #include "chord/sha1.h"
+#include "audit/invariant_checker.h"
 #include "core/subscriber_list.h"
 #include "experiment/config.h"
 #include "experiment/driver.h"
@@ -44,16 +47,19 @@
 
 namespace {
 std::atomic<uint64_t> g_alloc_count{0};
+std::atomic<uint64_t> g_alloc_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -69,6 +75,10 @@ using namespace dupnet;
 
 uint64_t AllocCount() {
   return g_alloc_count.load(std::memory_order_relaxed);
+}
+
+uint64_t AllocBytes() {
+  return g_alloc_bytes.load(std::memory_order_relaxed);
 }
 
 // --------------------------------------------------------------------------
@@ -347,6 +357,40 @@ SimBaseline MeasureFullSim(experiment::Scheme scheme, const char* name) {
   return result;
 }
 
+/// The end-of-run audit's heap footprint: one AuditQuiescent over a
+/// completed DUP run. The audit walks the protocol's slabs in place, so it
+/// may allocate only its per-id witnesses (the cache-version column and the
+/// reachability bitset) and the push frontier.
+struct AuditBaseline {
+  size_t nodes = 0;
+  uint64_t allocations = 0;
+  uint64_t bytes = 0;
+  double bytes_per_node() const {
+    return nodes > 0 ? static_cast<double>(bytes) / nodes : 0.0;
+  }
+};
+
+AuditBaseline MeasureAuditQuiescent() {
+  constexpr double kMaxBytesPerNode = 16.0;
+  const experiment::ExperimentConfig config =
+      MicroSimConfig(experiment::Scheme::kDup);
+  experiment::SimulationDriver driver(config);
+  DUP_CHECK_OK(driver.Init());
+  driver.RunToCompletion();
+  driver.engine().Run();  // Drain: the audit needs a quiescent network.
+  AuditBaseline result;
+  result.nodes = config.num_nodes;
+  const uint64_t allocs_before = AllocCount();
+  const uint64_t bytes_before = AllocBytes();
+  DUP_CHECK_OK(driver.AuditQuiescent());
+  result.allocations = AllocCount() - allocs_before;
+  result.bytes = AllocBytes() - bytes_before;
+  DUP_CHECK_LT(result.bytes_per_node(), kMaxBytesPerNode)
+      << "AuditQuiescent allocated " << result.bytes << " B over "
+      << result.nodes << " nodes";
+  return result;
+}
+
 void RunMeasurementPass() {
   std::printf("\n=== Typed event-engine baseline ===\n");
 
@@ -380,6 +424,13 @@ void RunMeasurementPass() {
         static_cast<unsigned long long>(sim.allocations), sim.event_slots,
         sim.message_slots);
   }
+
+  const AuditBaseline audit = MeasureAuditQuiescent();
+  std::printf(
+      "audit_quiescent dup: %llu allocs, %llu B = %.2f B/node (%zu nodes)\n",
+      static_cast<unsigned long long>(audit.allocations),
+      static_cast<unsigned long long>(audit.bytes), audit.bytes_per_node(),
+      audit.nodes);
 
   const auto engine_json = [](const EngineBaseline& b) {
     util::JsonValue json = util::JsonValue::MakeObject();
@@ -422,6 +473,13 @@ void RunMeasurementPass() {
   doc.Set("event_chain", engine_json(chain));
   doc.Set("queue_churn", engine_json(churn));
   doc.Set("full_simulation", std::move(full_sims));
+  util::JsonValue audit_json = util::JsonValue::MakeObject();
+  audit_json.Set("scheme", "dup");
+  audit_json.Set("nodes", static_cast<uint64_t>(audit.nodes));
+  audit_json.Set("allocations", audit.allocations);
+  audit_json.Set("bytes", audit.bytes);
+  audit_json.Set("bytes_per_node", audit.bytes_per_node());
+  doc.Set("audit_quiescent", std::move(audit_json));
 
   bench::WriteJsonArtifact(doc, "results/bench_micro.json",
                            "DUP_BENCH_MICRO_JSON");

@@ -1,8 +1,6 @@
 #include "audit/invariant_checker.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_set>
 #include <utility>
 
 #include "core/adaptive_protocol.h"
@@ -81,10 +79,8 @@ bool InvariantChecker::quiescent() const {
 }
 
 bool InvariantChecker::AnyTreeNodeDown() const {
-  for (NodeId node : tree_->NodesPreOrder()) {
-    if (network_->IsDown(node)) return true;
-  }
-  return false;
+  return network_->AnyDown(
+      [this](NodeId node) { return tree_->Contains(node); });
 }
 
 void InvariantChecker::Report(sim::SimTime time, std::string_view invariant,
@@ -154,17 +150,19 @@ void InvariantChecker::CheckCaches(sim::SimTime now) {
   const double ttl = protocol_->options().ttl;
   protocol_->VisitCaches([&](NodeId node, const cache::IndexCache& cache) {
     const IndexVersion stored = cache.stored_version();
-    auto [it, inserted] = last_cache_version_.try_emplace(node, stored);
-    if (!inserted) {
-      if (stored < it->second) {
-        Report(now, "cache-monotonic", node, kInvalidNode,
-               util::StrFormat("version >= %llu",
-                               static_cast<unsigned long long>(it->second)),
-               util::StrFormat("%llu",
-                               static_cast<unsigned long long>(stored)));
-      }
-      it->second = std::max(it->second, stored);
+    // Versions are unsigned, so an id seen for the first time (witness 0)
+    // can never fail the check.
+    if (last_cache_version_.size() <= node) {
+      last_cache_version_.resize(tree_->registry().id_bound(), 0);
     }
+    IndexVersion& witness = last_cache_version_[node];
+    if (stored < witness) {
+      Report(now, "cache-monotonic", node, kInvalidNode,
+             util::StrFormat("version >= %llu",
+                             static_cast<unsigned long long>(witness)),
+             util::StrFormat("%llu", static_cast<unsigned long long>(stored)));
+    }
+    witness = std::max(witness, stored);
     if (stored > latest) {
       Report(now, "cache-from-future", node, kInvalidNode,
              util::StrFormat("version <= authority's %llu",
@@ -204,7 +202,7 @@ void InvariantChecker::CheckDupStable(sim::SimTime now) {
              util::StrFormat("|S_list| <= children + 1 = %zu", arity_bound),
              util::StrFormat("%zu", slist.size()));
     }
-    for (const auto& [branch, subscriber] : slist.entries()) {
+    for (const auto& [branch, subscriber, announced] : slist.entries()) {
       if (branch == core::kSelfBranch) {
         if (subscriber != node) {
           Report(now, "dup-self-entry", node, branch,
@@ -229,37 +227,36 @@ void InvariantChecker::CheckDupStable(sim::SimTime now) {
 }
 
 void InvariantChecker::CheckDupGlobal(sim::SimTime now) {
-  // Snapshot every node's list; the pointers stay valid for this pass
-  // (auditing never mutates protocol state).
-  std::unordered_map<NodeId, const core::SubscriberList*> lists;
-  dup_->VisitSubscriberStates(
-      [&](NodeId node, const core::SubscriberList& slist) {
-        lists.emplace(node, &slist);
-      });
+  // Every lookup below reads the protocol's slabs in place (auditing never
+  // mutates protocol state), so the pass allocates only the reachability
+  // bitset and its frontier.
   const NodeId root = tree_->root();
 
   // Upstream direction: every node representing interest for its branch is
   // recorded — with the right representative — at its parent. A mismatch
-  // is lost interest (cases 1-5 of Section III-C gone wrong).
-  for (NodeId node : tree_->NodesPreOrder()) {
-    if (node == root) continue;
+  // is lost interest (cases 1-5 of Section III-C gone wrong). A tree node
+  // represents interest only through a non-empty list of its own, so the
+  // walk over the DUP states reaches every such node.
+  dup_->VisitSubscriberStates([&](NodeId node, const core::SubscriberList&) {
+    if (node == root || !tree_->Contains(node)) return;
     const NodeId rep = dup_->RepresentativeOf(node);
-    if (rep == kInvalidNode) continue;
+    if (rep == kInvalidNode) return;
     const NodeId parent = tree_->Parent(node);
-    const auto it = lists.find(parent);
+    const core::SubscriberList* at_parent = dup_->FindSubscriberList(parent);
     const std::optional<NodeId> recorded =
-        it == lists.end() ? std::nullopt : it->second->Get(node);
+        at_parent == nullptr ? std::nullopt : at_parent->Get(node);
     if (!recorded.has_value() || *recorded != rep) {
       Report(now, "dup-upstream-entry", parent, node,
              util::StrFormat("entry for branch %u -> representative %u", node,
                              rep),
              recorded.has_value() ? NodeName(*recorded) : "absent");
     }
-  }
+  });
 
-  for (const auto& [node, slist] : lists) {
-    if (!tree_->Contains(node)) continue;
-    for (const auto& [branch, subscriber] : slist->entries()) {
+  dup_->VisitSubscriberStates([&](NodeId node,
+                                  const core::SubscriberList& slist) {
+    if (!tree_->Contains(node)) return;
+    for (const auto& [branch, subscriber, announced] : slist.entries()) {
       if (branch == core::kSelfBranch) continue;
       if (!tree_->Contains(branch) || tree_->Parent(branch) != node) {
         continue;  // Already reported by the stable branch-key check.
@@ -276,37 +273,39 @@ void InvariantChecker::CheckDupGlobal(sim::SimTime now) {
       }
       // Substitute chains must stay inside the branch they were announced
       // over (acyclicity): the subscriber lies in branch's subtree.
-      if (tree_->Contains(subscriber)) {
-        const std::vector<NodeId> path = tree_->PathToRoot(subscriber);
-        if (std::find(path.begin(), path.end(), branch) == path.end()) {
-          Report(now, "dup-subscriber-subtree", node, branch,
-                 util::StrFormat("subscriber inside subtree of %u", branch),
-                 util::StrFormat("%u (outside)", subscriber));
-        }
+      if (tree_->Contains(subscriber) &&
+          !tree_->InSubtree(subscriber, branch)) {
+        Report(now, "dup-subscriber-subtree", node, branch,
+               util::StrFormat("subscriber inside subtree of %u", branch),
+               util::StrFormat("%u (outside)", subscriber));
       }
     }
-  }
+  });
 
   // Push reachability: one update from the authority must reach every
   // interested node. Follow exactly the edges PushToSubscribers uses — the
   // non-delegated subscriber entries plus the accepted relay duties (with
-  // the arity cap off, that is every subscriber entry).
-  std::unordered_map<NodeId, core::DupProtocol::FanOutState> fan_out;
-  dup_->VisitFanOutStates(
-      [&](NodeId node, const core::DupProtocol::FanOutState& state) {
-        fan_out.emplace(node, state);
-      });
-  std::unordered_set<NodeId> reached;
-  std::deque<NodeId> frontier;
-  reached.insert(root);
+  // the arity cap off, that is every subscriber entry). `reached` holds one
+  // bit per id ever issued.
+  std::vector<uint64_t> reached((tree_->registry().id_bound() + 63) / 64, 0);
+  const auto reach = [&reached](NodeId node) {
+    uint64_t& word = reached[node >> 6];
+    const uint64_t bit = uint64_t{1} << (node & 63);
+    const bool fresh = (word & bit) == 0;
+    word |= bit;
+    return fresh;
+  };
+  std::vector<NodeId> frontier;
+  reach(root);
   frontier.push_back(root);
   while (!frontier.empty()) {
-    const NodeId node = frontier.front();
-    frontier.pop_front();
-    const auto it = fan_out.find(node);
-    if (it == fan_out.end()) continue;
-    const auto& dels = *it->second.delegations;
-    for (const auto& [branch, subscriber] : it->second.slist->entries()) {
+    const NodeId node = frontier.back();
+    frontier.pop_back();
+    const core::DupProtocol::FanOutState state = dup_->FanOutOf(node);
+    if (state.slist == nullptr) continue;
+    const auto& dels = *state.delegations;
+    for (const auto& [branch, subscriber, announced] :
+         state.slist->entries()) {
       if (subscriber == node) continue;  // Self entry: no outgoing push.
       const auto del = std::lower_bound(
           dels.begin(), dels.end(), subscriber,
@@ -314,20 +313,21 @@ void InvariantChecker::CheckDupGlobal(sim::SimTime now) {
       if (del != dels.end() && del->first == subscriber) {
         continue;  // Delegated: served by the delegate's relay duty.
       }
-      if (reached.insert(subscriber).second) frontier.push_back(subscriber);
+      if (reach(subscriber)) frontier.push_back(subscriber);
     }
-    for (const auto& [delegator, target] : *it->second.relays) {
+    for (const auto& [delegator, target] : *state.relays) {
       if (target == node) continue;
-      if (reached.insert(target).second) frontier.push_back(target);
+      if (reach(target)) frontier.push_back(target);
     }
   }
-  for (const auto& [node, slist] : lists) {
-    if (!tree_->Contains(node) || !slist->HasSelf()) continue;
-    if (reached.count(node) == 0) {
+  dup_->VisitSubscriberStates([&](NodeId node,
+                                  const core::SubscriberList& slist) {
+    if (!tree_->Contains(node) || !slist.HasSelf()) return;
+    if (((reached[node >> 6] >> (node & 63)) & 1u) == 0) {
       Report(now, "dup-push-reachability", node, kInvalidNode,
              "interested node reachable from the authority", "unreachable");
     }
-  }
+  });
 }
 
 void InvariantChecker::CheckDupArity(sim::SimTime now) {
@@ -366,25 +366,20 @@ void InvariantChecker::CheckDupArity(sim::SimTime now) {
 void InvariantChecker::CheckDupFanOutGlobal(sim::SimTime now) {
   const uint32_t cap = dup_->dup_options().max_arity;
   if (cap == 0) return;
-  std::unordered_map<NodeId, core::DupProtocol::FanOutState> fan_out;
-  dup_->VisitFanOutStates(
-      [&](NodeId node, const core::DupProtocol::FanOutState& state) {
-        fan_out.emplace(node, state);
-      });
 
   // Delegator -> delegate: every plan entry has the matching relay duty
   // installed (a missing one would leave its target without pushes).
   // Entries naming departed nodes are churn transients the removal sweep
   // re-plans; skip them.
-  for (const auto& [node, state] : fan_out) {
-    if (!tree_->Contains(node)) continue;
+  dup_->VisitFanOutStates([&](NodeId node,
+                              const core::DupProtocol::FanOutState& state) {
+    if (!tree_->Contains(node)) return;
     for (const auto& [target, delegate] : *state.delegations) {
       if (!tree_->Contains(delegate) || !tree_->Contains(target)) continue;
-      const auto it = fan_out.find(delegate);
+      const core::DupProtocol::FanOutState at = dup_->FanOutOf(delegate);
       const bool held =
-          it != fan_out.end() &&
-          std::binary_search(it->second.relays->begin(),
-                             it->second.relays->end(),
+          at.slist != nullptr &&
+          std::binary_search(at.relays->begin(), at.relays->end(),
                              std::make_pair(node, target));
       if (!held) {
         Report(now, "dup-delegation-consistency", node, target,
@@ -392,14 +387,15 @@ void InvariantChecker::CheckDupFanOutGlobal(sim::SimTime now) {
                "absent");
       }
     }
-  }
+  });
 
   // Delegate -> delegator: every relay duty is backed by a live plan entry
   // (anything else is a stale duty that would duplicate pushes), and each
   // delegate holds at most `cap` duties per delegator — the D³-tree load
   // bound the plan construction promises.
-  for (const auto& [node, state] : fan_out) {
-    if (!tree_->Contains(node)) continue;
+  dup_->VisitFanOutStates([&](NodeId node,
+                              const core::DupProtocol::FanOutState& state) {
+    if (!tree_->Contains(node)) return;
     NodeId run_delegator = kInvalidNode;
     size_t run_length = 0;
     for (const auto& [delegator, target] : *state.relays) {
@@ -415,11 +411,10 @@ void InvariantChecker::CheckDupFanOutGlobal(sim::SimTime now) {
                util::StrFormat("at least %zu", run_length));
       }
       if (!tree_->Contains(delegator) || !tree_->Contains(target)) continue;
-      const auto it = fan_out.find(delegator);
+      const core::DupProtocol::FanOutState at = dup_->FanOutOf(delegator);
       const bool planned =
-          it != fan_out.end() &&
-          std::binary_search(it->second.delegations->begin(),
-                             it->second.delegations->end(),
+          at.slist != nullptr &&
+          std::binary_search(at.delegations->begin(), at.delegations->end(),
                              std::make_pair(target, node));
       if (!planned) {
         Report(now, "dup-stale-relay", node, target,
@@ -427,7 +422,7 @@ void InvariantChecker::CheckDupFanOutGlobal(sim::SimTime now) {
                "absent");
       }
     }
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/overlay_network.h"
@@ -166,8 +165,9 @@ class InvariantChecker {
   trace::JsonlTraceWriter* trace_;
   Options options_;
 
-  /// Highest cache version seen per node (monotonicity witness).
-  std::unordered_map<NodeId, IndexVersion> last_cache_version_;
+  /// Highest cache version seen per node id (monotonicity witness): dense,
+  /// since ids are issued densely and never reused.
+  std::vector<IndexVersion> last_cache_version_;
   std::vector<Violation> violations_;
   uint64_t total_violations_ = 0;
   uint64_t checks_run_ = 0;

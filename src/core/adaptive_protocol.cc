@@ -143,11 +143,13 @@ void AdaptiveProtocol::EnterDup() {
 void AdaptiveProtocol::SweepDupSubscriptions() {
   sweep_scratch_.clear();
   const NodeId root = tree()->root();
-  dup_states().ForEach([&](NodeId node, const DupHot&, const DupCold& cold) {
-    if (node == root || !tree()->Contains(node)) return;
-    if (cold.slist.HasSelf()) sweep_scratch_.push_back(node);
-  });
-  std::sort(sweep_scratch_.begin(), sweep_scratch_.end());
+  // Ascending id order (determinism contract).
+  dup_states().ForEachById(
+      tree()->registry(),
+      [&](NodeId node, const DupHot&, const DupCold& cold) {
+        if (node == root || !tree()->Contains(node)) return;
+        if (cold.slist.HasSelf()) sweep_scratch_.push_back(node);
+      });
   for (NodeId node : sweep_scratch_) {
     ProcessUnsubscribe(node, kSelfBranch);
   }

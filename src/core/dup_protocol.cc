@@ -33,13 +33,24 @@ uint32_t DupProtocol::DupSlotOf(NodeId node) {
                                 [](DupHot& hot, DupCold& cold) {
                                   hot.last_forwarded = 0;
                                   cold.slist.Clear();
-                                  cold.delegations.clear();
-                                  cold.relays.clear();
                                 });
 }
 
 SubscriberList& DupProtocol::SlistOf(NodeId node) {
   return dup_states_.ColdAt(DupSlotOf(node)).slist;
+}
+
+DupProtocol::ArityPlan& DupProtocol::ArityPlanOf(NodeId node) {
+  DupSlotOf(node);  // A plan never exists without the node's DUP state.
+  return arity_plans_.GetOrInit(tree()->registry(), node,
+                                [](ArityPlan& plan) {
+                                  plan.delegations.clear();
+                                  plan.relays.clear();
+                                });
+}
+
+const DupProtocol::ArityPlan* DupProtocol::FindArityPlan(NodeId node) const {
+  return arity_plans_.Find(tree()->registry(), node);
 }
 
 bool DupProtocol::Interested(NodeId node) {
@@ -226,16 +237,17 @@ void DupProtocol::PushToSubscribers(NodeId from, IndexVersion version,
   // Snapshot into the scratch: SendPush never mutates the list, but the
   // entries vector may move if a callback reenters; stay safe. The scratch
   // keeps its capacity across pushes (degree-bounded).
-  const uint32_t slot = DupSlotOf(from);
-  const DupCold& cold = dup_states_.ColdAt(slot);
-  push_scratch_.assign(cold.slist.entries().begin(),
-                       cold.slist.entries().end());
-  const auto& dels = cold.delegations;  // Sorted by target; empty uncapped.
-  for (const auto& [branch, subscriber] : push_scratch_) {
+  const SubscriberList& slist = SlistOf(from);
+  push_scratch_.assign(slist.entries().begin(), slist.entries().end());
+  const ArityPlan* plan =
+      dup_options_.max_arity > 0 ? FindArityPlan(from) : nullptr;
+  for (const SubscriberList::Entry& entry : push_scratch_) {
+    const NodeId subscriber = entry.subscriber;
     if (subscriber == from) continue;  // Self entry.
-    if (!dels.empty()) {
+    if (plan != nullptr && !plan->delegations.empty()) {
       // Delegated targets are served by their delegate's relay duty, not
       // directly.
+      const auto& dels = plan->delegations;  // Sorted by target.
       const auto it = std::lower_bound(
           dels.begin(), dels.end(), subscriber,
           [](const auto& d, NodeId t) { return d.first < t; });
@@ -245,8 +257,8 @@ void DupProtocol::PushToSubscribers(NodeId from, IndexVersion version,
   }
   // Serve accepted relay duties: this node forwards the update onward on
   // behalf of every delegator that overflowed its arity cap.
-  if (!cold.relays.empty()) {
-    relay_scratch_.assign(cold.relays.begin(), cold.relays.end());
+  if (plan != nullptr && !plan->relays.empty()) {
+    relay_scratch_.assign(plan->relays.begin(), plan->relays.end());
     for (const auto& [delegator, target] : relay_scratch_) {
       if (target == from) continue;
       SendPush(from, target, version, expiry);
@@ -301,8 +313,7 @@ void DupProtocol::RebalanceFanOut(NodeId node) {
   const size_t cap = dup_options_.max_arity;
   if (cap == 0) return;
   if (!tree()->Contains(node)) return;
-  const uint32_t slot = DupSlotOf(node);
-  DupCold& cold = dup_states_.ColdAt(slot);
+  const SubscriberList& slist = SlistOf(node);
 
   // The desired plan is a pure function of the sorted distinct subscriber
   // ids: positions 0..cap-1 are pushed directly, position i >= cap is
@@ -310,7 +321,7 @@ void DupProtocol::RebalanceFanOut(NodeId node) {
   // at most `cap` targets of this delegator, and the implied relay tree is
   // cap-ary (depth O(log_cap fan_out)). No randomness — identical across
   // shards, jobs and audit modes.
-  target_scratch_ = cold.slist.SubscribersSorted(node);
+  target_scratch_ = slist.SubscribersSorted(node);
   plan_scratch_.clear();
   if (target_scratch_.size() > cap) {
     plan_scratch_.reserve(target_scratch_.size() - cap);
@@ -320,12 +331,13 @@ void DupProtocol::RebalanceFanOut(NodeId node) {
     }
     // Ascending targets in, ascending targets out: already sorted.
   }
-  if (plan_scratch_ == cold.delegations) return;
+  ArityPlan& plan = ArityPlanOf(node);
+  if (plan_scratch_ == plan.delegations) return;
 
   // Diff installed vs desired by target and notify the affected delegates.
   // Revokes go out before assigns so a delegate whose duty moves never
   // holds two entries for the same target.
-  const auto& old_plan = cold.delegations;
+  const auto& old_plan = plan.delegations;
   const auto& new_plan = plan_scratch_;
   for (const auto& [target, delegate] : old_plan) {
     const auto it = std::lower_bound(
@@ -345,7 +357,7 @@ void DupProtocol::RebalanceFanOut(NodeId node) {
       SendDelegation(node, delegate, target, /*assign=*/true);
     }
   }
-  cold.delegations = plan_scratch_;
+  ArityPlanOf(node).delegations = plan_scratch_;
 }
 
 void DupProtocol::HandleDelegationControl(const Message& message) {
@@ -354,13 +366,13 @@ void DupProtocol::HandleDelegationControl(const Message& message) {
   // OnNodeRemoved already cleared its duties; a late assign would strand
   // an entry no revoke can ever reach.
   if (!tree()->Contains(message.from)) return;
-  DupCold& cold = dup_states_.ColdAt(DupSlotOf(at));
+  auto& relays = ArityPlanOf(at).relays;
   const auto key = std::make_pair(message.from, message.subject);
-  auto it = std::lower_bound(cold.relays.begin(), cold.relays.end(), key);
+  auto it = std::lower_bound(relays.begin(), relays.end(), key);
   if (message.type == MessageType::kSubscribe) {
-    if (it == cold.relays.end() || *it != key) cold.relays.insert(it, key);
+    if (it == relays.end() || *it != key) relays.insert(it, key);
   } else {
-    if (it != cold.relays.end() && *it == key) cold.relays.erase(it);
+    if (it != relays.end() && *it == key) relays.erase(it);
   }
 }
 
@@ -429,12 +441,10 @@ void DupProtocol::OnGracefulLeave(NodeId node) {
 }
 
 NodeId DupProtocol::RepresentativeOf(NodeId node) const {
-  const uint32_t slot = dup_states_.FindSlot(tree()->registry(), node);
-  if (slot == decltype(dup_states_)::kNoSlot) return kInvalidNode;
-  const SubscriberList& slist = dup_states_.ColdAt(slot).slist;
-  if (slist.empty()) return kInvalidNode;
-  if (slist.size() >= 2) return node;
-  return slist.Sole().second;
+  const SubscriberList* slist = FindSubscriberList(node);
+  if (slist == nullptr || slist->empty()) return kInvalidNode;
+  if (slist->size() >= 2) return node;
+  return slist->Sole().second;
 }
 
 void DupProtocol::OnNodeRemoved(NodeId node, NodeId former_parent,
@@ -443,6 +453,7 @@ void DupProtocol::OnNodeRemoved(NodeId node, NodeId former_parent,
   // The tree already released the node's registry slot; the raw id -> slot
   // mapping still resolves its lingering state for these erases.
   dup_states_.Erase(tree()->registry(), node);
+  arity_plans_.Erase(tree()->registry(), node);
   EraseState(node);
   forced_.erase(node);
 
@@ -450,36 +461,36 @@ void DupProtocol::OnNodeRemoved(NodeId node, NodeId former_parent,
     // Sweep delegation state that mentions the dead node: relay duties it
     // delegated (or that target it) are void, and plans that used it as a
     // delegate must re-route their overflow. Collect holders first (the
-    // slab's visitor is read-only), then mutate and re-plan each.
+    // slab's visitor is read-only), then mutate and re-plan each in
+    // ascending id order (determinism contract).
     std::vector<NodeId> affected;
-    dup_states_.ForEach(
-        [&](NodeId holder, const DupHot&, const DupCold& cold) {
-          for (const auto& [delegator, target] : cold.relays) {
-            if (delegator == node || target == node) {
-              affected.push_back(holder);
-              return;
-            }
-          }
-          for (const auto& [target, delegate] : cold.delegations) {
-            if (target == node || delegate == node) {
-              affected.push_back(holder);
-              return;
-            }
-          }
-        });
-    std::sort(affected.begin(), affected.end());
+    arity_plans_.ForEachById(tree()->registry(), [&](NodeId holder,
+                                                     const ArityPlan& plan) {
+      for (const auto& [delegator, target] : plan.relays) {
+        if (delegator == node || target == node) {
+          affected.push_back(holder);
+          return;
+        }
+      }
+      for (const auto& [target, delegate] : plan.delegations) {
+        if (target == node || delegate == node) {
+          affected.push_back(holder);
+          return;
+        }
+      }
+    });
     for (NodeId holder : affected) {
-      DupCold& cold = dup_states_.ColdAt(DupSlotOf(holder));
+      ArityPlan& plan = ArityPlanOf(holder);
       auto mentions_dead = [node](const std::pair<NodeId, NodeId>& e) {
         return e.first == node || e.second == node;
       };
-      cold.relays.erase(std::remove_if(cold.relays.begin(),
-                                       cold.relays.end(), mentions_dead),
-                        cold.relays.end());
-      cold.delegations.erase(
-          std::remove_if(cold.delegations.begin(), cold.delegations.end(),
+      plan.relays.erase(std::remove_if(plan.relays.begin(),
+                                       plan.relays.end(), mentions_dead),
+                        plan.relays.end());
+      plan.delegations.erase(
+          std::remove_if(plan.delegations.begin(), plan.delegations.end(),
                          mentions_dead),
-          cold.delegations.end());
+          plan.delegations.end());
       // Re-plan immediately so the direct-fan-out bound holds even before
       // the unsubscribe cascade repairs the subscriber entries.
       RebalanceFanOut(holder);
@@ -507,15 +518,16 @@ void DupProtocol::OnNodeRemoved(NodeId node, NodeId former_parent,
 
 void DupProtocol::OnSoftStateRefresh() {
   const NodeId root = tree()->root();
+  // Ascending id order, so the refresh burst is identical across runs
+  // (determinism contract).
   std::vector<NodeId> on_path;
-  dup_states_.ForEach([&](NodeId node, const DupHot&, const DupCold& cold) {
-    if (node == root || !tree()->Contains(node)) return;
-    if (cold.slist.empty()) return;
-    on_path.push_back(node);
-  });
-  // Slab iteration follows slot order, which churn scrambles; sort so the
-  // refresh burst is identical across runs (determinism contract).
-  std::sort(on_path.begin(), on_path.end());
+  dup_states_.ForEachById(
+      tree()->registry(),
+      [&](NodeId node, const DupHot&, const DupCold& cold) {
+        if (node == root || !tree()->Contains(node)) return;
+        if (cold.slist.empty()) return;
+        on_path.push_back(node);
+      });
   for (NodeId node : on_path) {
     // Not SendUp(): a refresh announcement rides no query, so it is never
     // free_ride even under the piggyback-subscribe ablation.
@@ -568,27 +580,33 @@ DupProtocol::TreeStats DupProtocol::ComputeTreeStats() const {
 
 void DupProtocol::VisitSubscriberStates(
     const std::function<void(NodeId, const SubscriberList&)>& fn) const {
-  std::vector<std::pair<NodeId, const SubscriberList*>> lists;
-  dup_states_.ForEach(
-      [&lists](NodeId node, const DupHot&, const DupCold& cold) {
-        lists.emplace_back(node, &cold.slist);
+  dup_states_.ForEachById(
+      tree()->registry(),
+      [&fn](NodeId node, const DupHot&, const DupCold& cold) {
+        fn(node, cold.slist);
       });
-  std::sort(lists.begin(), lists.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [node, slist] : lists) fn(node, *slist);
+}
+
+const SubscriberList* DupProtocol::FindSubscriberList(NodeId node) const {
+  const uint32_t slot = dup_states_.FindSlot(tree()->registry(), node);
+  if (slot == decltype(dup_states_)::kNoSlot) return nullptr;
+  return &dup_states_.ColdAt(slot).slist;
+}
+
+DupProtocol::FanOutState DupProtocol::FanOutOf(NodeId node) const {
+  static const ArityPlan kNoPlan;
+  const ArityPlan* found = FindArityPlan(node);
+  const ArityPlan& plan = found != nullptr ? *found : kNoPlan;
+  return {FindSubscriberList(node), &plan.delegations, &plan.relays};
 }
 
 void DupProtocol::VisitFanOutStates(
     const std::function<void(NodeId, const FanOutState&)>& fn) const {
-  std::vector<std::pair<NodeId, FanOutState>> states;
-  dup_states_.ForEach(
-      [&states](NodeId node, const DupHot&, const DupCold& cold) {
-        states.emplace_back(
-            node, FanOutState{&cold.slist, &cold.delegations, &cold.relays});
+  dup_states_.ForEachById(
+      tree()->registry(),
+      [&](NodeId node, const DupHot&, const DupCold&) {
+        fn(node, FanOutOf(node));
       });
-  std::sort(states.begin(), states.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [node, state] : states) fn(node, state);
 }
 
 size_t DupProtocol::MaxDirectFanOut() const {
@@ -597,9 +615,11 @@ size_t DupProtocol::MaxDirectFanOut() const {
     if (!tree()->Contains(node)) return;
     // Push messages this node sends for one update: its non-delegated
     // subscribers plus the relay duties it accepted.
-    const size_t direct =
-        cold.slist.SubscribersSorted(node).size() - cold.delegations.size();
-    max_fan_out = std::max(max_fan_out, direct + cold.relays.size());
+    const ArityPlan* plan = FindArityPlan(node);
+    const size_t direct = cold.slist.SubscribersSorted(node).size() -
+                          (plan != nullptr ? plan->delegations.size() : 0);
+    const size_t relays = plan != nullptr ? plan->relays.size() : 0;
+    max_fan_out = std::max(max_fan_out, direct + relays);
   });
   return max_fan_out;
 }
@@ -610,22 +630,20 @@ void DupProtocol::ReconcileRelays() {
   // delegate's relay set must be exactly the duties those plans assign it.
   std::vector<std::pair<NodeId, std::pair<NodeId, NodeId>>> expected;
   std::vector<NodeId> holders;
-  dup_states_.ForEach([&](NodeId node, const DupHot&, const DupCold& cold) {
-    if (!cold.relays.empty()) holders.push_back(node);
+  arity_plans_.ForEach([&](NodeId node, const ArityPlan& plan) {
+    if (!plan.relays.empty()) holders.push_back(node);
     if (!tree()->Contains(node)) return;
-    for (const auto& [target, delegate] : cold.delegations) {
+    for (const auto& [target, delegate] : plan.delegations) {
       if (!tree()->Contains(delegate)) continue;
       expected.push_back({delegate, {node, target}});
     }
   });
-  for (NodeId holder : holders) {
-    dup_states_.ColdAt(DupSlotOf(holder)).relays.clear();
-  }
+  for (NodeId holder : holders) ArityPlanOf(holder).relays.clear();
   // Sorted by (delegate, delegator, target), so each delegate's relay set
   // is rebuilt in its canonical (delegator, target) order.
   std::sort(expected.begin(), expected.end());
   for (const auto& [delegate, duty] : expected) {
-    dup_states_.ColdAt(DupSlotOf(delegate)).relays.push_back(duty);
+    ArityPlanOf(delegate).relays.push_back(duty);
   }
 }
 
@@ -636,11 +654,9 @@ void DupProtocol::PruneEntriesNotAnnouncedSince(sim::SimTime cutoff) {
   std::vector<std::pair<NodeId, NodeId>> expired;
   dup_states_.ForEach([&](NodeId node, const DupHot&, const DupCold& cold) {
     if (!tree()->Contains(node)) return;
-    for (const auto& [branch, subscriber] : cold.slist.entries()) {
-      if (branch == kSelfBranch) continue;  // Local interest, not soft state.
-      if (cold.slist.AnnouncedAt(branch) < cutoff) {
-        expired.emplace_back(node, branch);
-      }
+    for (const SubscriberList::Entry& entry : cold.slist.entries()) {
+      if (entry.branch == kSelfBranch) continue;  // Local interest only.
+      if (entry.announced < cutoff) expired.emplace_back(node, entry.branch);
     }
   });
   std::sort(expired.begin(), expired.end());

@@ -121,6 +121,10 @@ class DupProtocol : public proto::TreeProtocolBase {
   void VisitSubscriberStates(
       const std::function<void(NodeId, const SubscriberList&)>& fn) const;
 
+  /// `node`'s subscriber list, or null when it holds no DUP state (never
+  /// creates state).
+  const SubscriberList* FindSubscriberList(NodeId node) const;
+
   /// Soft-state reconciliation: drops every non-self entry whose last
   /// announcement predates `cutoff`, cascading upstream exactly like an
   /// explicit unsubscribe. After one OnSoftStateRefresh round has drained,
@@ -162,6 +166,10 @@ class DupProtocol : public proto::TreeProtocolBase {
   void VisitFanOutStates(
       const std::function<void(NodeId, const FanOutState&)>& fn) const;
 
+  /// `node`'s fan-out state, or one with a null `slist` when the node holds
+  /// no DUP state (never creates state; audit lookups).
+  FanOutState FanOutOf(NodeId node) const;
+
   /// Largest number of push messages any single node sends for one update
   /// (direct non-delegated subscribers plus accepted relay duties) — the
   /// load-balancing headline of the bench_adaptive exhibit.
@@ -196,21 +204,35 @@ class DupProtocol : public proto::TreeProtocolBase {
     IndexVersion last_forwarded = 0;
   };
   /// Cold half: only subscription changes and actual forwards touch it.
-  /// `delegations` (target -> delegate, sorted by target) is this node's
-  /// current fan-out plan when DupOptions::max_arity caps it; `relays`
-  /// ((delegator, target), sorted) are the relay duties this node accepted
-  /// from overflowing delegators. Both stay empty with the cap off.
+  /// The arity cap's plan lives in a side table (ArityPlan), so a run
+  /// without the cap pays for the S_list alone.
   struct DupCold {
     SubscriberList slist;
+  };
+  /// Fan-out plan state of one node while DupOptions::max_arity caps it:
+  /// `delegations` (target -> delegate, sorted by target) is the node's
+  /// current plan; `relays` ((delegator, target), sorted) are the relay
+  /// duties it accepted from overflowing delegators.
+  struct ArityPlan {
     std::vector<std::pair<NodeId, NodeId>> delegations;
     std::vector<std::pair<NodeId, NodeId>> relays;
   };
+  // Layout gates (docs/scaling.md's bytes/node accounting): a slot costs a
+  // 16 B hot entry (owner tag, live flag, push stamp) plus the S_list's
+  // vector header, whatever the arity cap.
+  static_assert(sizeof(DupCold) == sizeof(std::vector<SubscriberList::Entry>),
+                "DupCold is the S_list's vector header only");
+  static_assert(SplitNodeSlab<DupHot, DupCold>::kHotEntryBytes == 16,
+                "DUP hot entry: owner, live flag, one version stamp");
 
   /// Slab slot of `node`'s state, created (or re-initialised on a recycled
   /// slot) on first access; for a departed node, its lingering state.
   uint32_t DupSlotOf(NodeId node);
   /// `node`'s subscriber list (creates state like DupSlotOf).
   SubscriberList& SlistOf(NodeId node);
+  /// `node`'s arity-cap plan, created with its DUP state. Only the paths
+  /// that run while max_arity > 0 call it.
+  ArityPlan& ArityPlanOf(NodeId node);
 
   bool Interested(NodeId node);
 
@@ -252,13 +274,19 @@ class DupProtocol : public proto::TreeProtocolBase {
   void SendDelegation(NodeId from, NodeId delegate, NodeId target,
                       bool assign);
 
+  /// `node`'s arity-cap plan if it has one, else null (never creates).
+  const ArityPlan* FindArityPlan(NodeId node) const;
+
   DupOptions dup_options_;
   SplitNodeSlab<DupHot, DupCold> dup_states_;
+  /// The arity cap's side table: stays empty, and allocates nothing, while
+  /// max_arity == 0.
+  NodeSlab<ArityPlan> arity_plans_;
   std::unordered_set<NodeId> forced_;
   DeliveryCallback delivery_callback_;
   /// Reused snapshot of the pushing node's entries (PushToSubscribers) —
   /// SendPush never reenters it, so one scratch vector serves every push.
-  std::vector<std::pair<NodeId, NodeId>> push_scratch_;
+  std::vector<SubscriberList::Entry> push_scratch_;
   /// Reused snapshot of the pushing node's relay duties, same contract.
   std::vector<std::pair<NodeId, NodeId>> relay_scratch_;
   /// Reused by RebalanceFanOut for the recomputed plan.

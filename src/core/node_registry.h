@@ -113,6 +113,10 @@ class NodeRegistry {
   /// Currently registered ids.
   size_t live_count() const { return live_; }
 
+  /// One past the highest id ever registered: the bound of an id-order
+  /// walk over the raw id -> slot mapping (NodeSlab::ForEachById).
+  size_t id_bound() const { return slot_of_id_.size(); }
+
   /// Slots ever allocated (the slab high-water mark all NodeSlabs track).
   size_t slot_count() const { return owner_of_slot_.size(); }
 
@@ -209,13 +213,28 @@ class NodeSlab {
     return true;
   }
 
-  /// Visits every live entry as fn(owner, value), in slot order. Callers
-  /// needing ascending-id order collect and sort, as they did over the
-  /// hash maps (the determinism contract lives at those call sites).
+  /// Visits every live entry as fn(owner, value), in slot order, which
+  /// churn scrambles: for callers whose result does not depend on order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (const Entry& entry : entries_) {
       if (entry.live) fn(entry.owner, entry.value);
+    }
+  }
+
+  /// Visits exactly ForEach's entries as fn(owner, value), in ascending id
+  /// order and without allocating: walks the registry's id -> slot mapping,
+  /// which also reaches a departed id's lingering state. An entry tagged
+  /// with another id (its slot was recycled) is skipped here and visited
+  /// under its owner.
+  template <typename Fn>
+  void ForEachById(const NodeRegistry& registry, Fn&& fn) const {
+    const size_t ids = registry.id_bound();
+    for (size_t id = 0; id < ids; ++id) {
+      const uint32_t slot = registry.RawSlotOf(static_cast<NodeId>(id));
+      if (slot >= entries_.size()) continue;
+      const Entry& entry = entries_[slot];
+      if (entry.live && entry.owner == id) fn(entry.owner, entry.value);
     }
   }
 
@@ -266,8 +285,16 @@ class NodeSlab {
 /// paths that need it.
 template <typename Hot, typename Cold>
 class SplitNodeSlab {
+  struct HotEntry {
+    NodeId owner = kInvalidNode;
+    bool live = false;
+    Hot value{};
+  };
+
  public:
   static constexpr uint32_t kNoSlot = NodeRegistry::kNoSlot;
+  /// Bytes per slot of the hot array (the layout gates in the protocols).
+  static constexpr size_t kHotEntryBytes = sizeof(HotEntry);
 
   /// Slot of `id`'s state, creating it if absent (recycled/new entries are
   /// passed through `reinit(Hot&, Cold&)` in place, preserving Cold's
@@ -321,14 +348,28 @@ class SplitNodeSlab {
     return true;
   }
 
-  /// Visits every live entry as fn(owner, hot, cold), in slot order.
-  /// Callers needing ascending-id order collect and sort (the determinism
-  /// contract lives at those call sites).
+  /// Visits every live entry as fn(owner, hot, cold), in slot order, which
+  /// churn scrambles: for callers whose result does not depend on order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (size_t slot = 0; slot < hot_.size(); ++slot) {
       const HotEntry& entry = hot_[slot];
       if (entry.live) fn(entry.owner, entry.value, cold_[slot]);
+    }
+  }
+
+  /// ForEach's entries in ascending id order, allocation-free (see
+  /// NodeSlab::ForEachById).
+  template <typename Fn>
+  void ForEachById(const NodeRegistry& registry, Fn&& fn) const {
+    const size_t ids = registry.id_bound();
+    for (size_t id = 0; id < ids; ++id) {
+      const uint32_t slot = registry.RawSlotOf(static_cast<NodeId>(id));
+      if (slot >= hot_.size()) continue;
+      const HotEntry& entry = hot_[slot];
+      if (entry.live && entry.owner == id) {
+        fn(entry.owner, entry.value, cold_[slot]);
+      }
     }
   }
 
@@ -348,12 +389,6 @@ class SplitNodeSlab {
   }
 
  private:
-  struct HotEntry {
-    NodeId owner = kInvalidNode;
-    bool live = false;
-    Hot value{};
-  };
-
   std::vector<HotEntry> hot_;  ///< Indexed by registry slot.
   std::vector<Cold> cold_;     ///< Parallel to hot_.
 };

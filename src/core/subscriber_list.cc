@@ -8,62 +8,61 @@ namespace dupnet::core {
 
 bool SubscriberList::Set(NodeId branch, NodeId subscriber,
                          sim::SimTime announced) {
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].first == branch) {
-      entries_[i].second = subscriber;
-      announced_[i] = announced;
+  for (Entry& entry : entries_) {
+    if (entry.branch == branch) {
+      entry.subscriber = subscriber;
+      entry.announced = announced;
       return false;
     }
   }
-  entries_.emplace_back(branch, subscriber);
-  announced_.push_back(announced);
+  entries_.push_back({branch, subscriber, announced});
   return true;
 }
 
 bool SubscriberList::Remove(NodeId branch) {
   auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [&](const auto& e) { return e.first == branch; });
+                         [&](const Entry& e) { return e.branch == branch; });
   if (it == entries_.end()) return false;
-  announced_.erase(announced_.begin() + (it - entries_.begin()));
   entries_.erase(it);
   return true;
 }
 
 sim::SimTime SubscriberList::AnnouncedAt(NodeId branch) const {
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].first == branch) return announced_[i];
+  for (const Entry& entry : entries_) {
+    if (entry.branch == branch) return entry.announced;
   }
   return 0.0;
 }
 
 bool SubscriberList::HasBranch(NodeId branch) const {
   return std::any_of(entries_.begin(), entries_.end(),
-                     [&](const auto& e) { return e.first == branch; });
+                     [&](const Entry& e) { return e.branch == branch; });
 }
 
 std::optional<NodeId> SubscriberList::Get(NodeId branch) const {
-  for (const auto& [b, s] : entries_) {
-    if (b == branch) return s;
+  for (const Entry& entry : entries_) {
+    if (entry.branch == branch) return entry.subscriber;
   }
   return std::nullopt;
 }
 
 std::pair<NodeId, NodeId> SubscriberList::Sole() const {
   DUP_CHECK_EQ(entries_.size(), 1u);
-  return entries_.front();
+  return {entries_.front().branch, entries_.front().subscriber};
 }
 
 bool SubscriberList::ContainsSubscriber(NodeId subscriber) const {
-  return std::any_of(entries_.begin(), entries_.end(),
-                     [&](const auto& e) { return e.second == subscriber; });
+  return std::any_of(
+      entries_.begin(), entries_.end(),
+      [&](const Entry& e) { return e.subscriber == subscriber; });
 }
 
 std::vector<NodeId> SubscriberList::SubscribersSorted(NodeId exclude) const {
   std::vector<NodeId> out;
   out.reserve(entries_.size());
-  for (const auto& [branch, subscriber] : entries_) {
-    if (subscriber == exclude) continue;
-    out.push_back(subscriber);
+  for (const Entry& entry : entries_) {
+    if (entry.subscriber == exclude) continue;
+    out.push_back(entry.subscriber);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());

@@ -26,6 +26,16 @@ inline constexpr NodeId kSelfBranch = kInvalidNode - 1;
 /// Invariant: |S_list| <= (number of child branches) + 1 (the self entry).
 class SubscriberList {
  public:
+  /// One branch's entry. `announced` is when the branch last (re-)announced
+  /// it — the soft-state keep-alive stamp consulted by
+  /// DupProtocol::PruneEntriesNotAnnouncedSince.
+  struct Entry {
+    NodeId branch = kInvalidNode;
+    NodeId subscriber = kInvalidNode;
+    sim::SimTime announced = 0.0;
+  };
+  static_assert(sizeof(Entry) == 16, "two ids and one stamp, no padding");
+
   SubscriberList() = default;
 
   /// Inserts or overwrites the entry for `branch`. Returns true if a new
@@ -55,9 +65,7 @@ class SubscriberList {
   bool empty() const { return entries_.empty(); }
 
   /// Entries in insertion order (stable for deterministic pushes).
-  const std::vector<std::pair<NodeId, NodeId>>& entries() const {
-    return entries_;
-  }
+  const std::vector<Entry>& entries() const { return entries_; }
 
   /// True iff some entry's subscriber equals `subscriber`.
   bool ContainsSubscriber(NodeId subscriber) const;
@@ -69,24 +77,15 @@ class SubscriberList {
   std::vector<NodeId> SubscribersSorted(NodeId exclude) const;
 
   /// Drops all entries, keeping capacity (slab slot recycling).
-  void Clear() {
-    entries_.clear();
-    announced_.clear();
-  }
+  void Clear() { entries_.clear(); }
 
   /// Pre-sizes for `branches` entries (child degree + the self entry).
-  void Reserve(size_t branches) {
-    entries_.reserve(branches);
-    announced_.reserve(branches);
-  }
+  void Reserve(size_t branches) { entries_.reserve(branches); }
 
  private:
   // Degree-bounded (the paper: "at most equal to the number of direct
-  // children"), so a flat vector beats a hash map. `announced_` runs
-  // parallel to `entries_` (same index = same branch) so entries() keeps
-  // its plain (branch, subscriber) shape for iteration.
-  std::vector<std::pair<NodeId, NodeId>> entries_;
-  std::vector<sim::SimTime> announced_;
+  // children"), so a flat vector beats a hash map: one heap block per node.
+  std::vector<Entry> entries_;
 };
 
 }  // namespace dupnet::core

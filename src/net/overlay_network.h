@@ -2,6 +2,7 @@
 #define DUP_NET_OVERLAY_NETWORK_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -135,6 +136,19 @@ class OverlayNetwork : public sim::EventTarget {
   /// receive.
   void SetNodeDown(NodeId node, bool down);
   bool IsDown(NodeId node) const;
+  /// True iff `pred(node)` holds for some node marked down. Scans the
+  /// packed down set a word at a time, so an all-up network costs one pass
+  /// over ids / 64 words and allocates nothing.
+  template <typename Pred>
+  bool AnyDown(Pred&& pred) const {
+    for (size_t word = 0; word < down_.size(); ++word) {
+      for (uint64_t bits = down_[word]; bits != 0; bits &= bits - 1) {
+        const int bit = std::countr_zero(bits);
+        if (pred(static_cast<NodeId>(word * 64 + bit))) return true;
+      }
+    }
+    return false;
+  }
 
   uint64_t messages_sent() const { return messages_sent_; }
   uint64_t messages_dropped() const { return messages_dropped_; }

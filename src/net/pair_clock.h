@@ -17,11 +17,18 @@ namespace dupnet::net {
 ///
 /// Two vectors (keys + clocks), power-of-two capacity, linear probing: a
 /// lookup is one mix and a short scan, with none of the per-node heap
-/// traffic of the former `unordered_map`. The table only grows; stale
-/// links are evicted at rehash, which is *exactly* semantics-preserving:
-/// an entry whose clock is `<= now` can never influence a future
-/// `max(now' + latency, clock)` with `now' >= now`, so dropping it returns
-/// the same delivery times as keeping it forever.
+/// traffic of the former `unordered_map`. Dead links are evicted whenever
+/// the table reaches its load bound, which is *exactly*
+/// semantics-preserving: an entry whose clock is `<= now` can never
+/// influence a future `max(now' + latency, clock)` with `now' >= now`, so
+/// dropping it returns the same delivery times as keeping it forever.
+///
+/// Sizing follows the live links, not the links ever seen: at the load
+/// bound the dead links are deleted in place (backward-shift deletion, no
+/// allocation), and the table doubles only when the survivors still fill
+/// more than half of it. A run that touches millions of distinct links but
+/// never has more than a few thousand in flight keeps a table sized by the
+/// latter. The table never shrinks, so a Reserve()d capacity is a floor.
 ///
 /// Keys are never the all-ones pattern (that would need both endpoints to
 /// be the invalid node id), which serves as the empty-slot sentinel.
@@ -43,7 +50,8 @@ class PairClock {
       return advanced;
     }
     if ((size_ + 1) * 10 >= keys_.size() * 7) {  // Load factor 0.7.
-      Rehash(keys_.size() * 2, now);
+      EvictDead(now);
+      if (size_ * 2 > keys_.size()) Rehash(keys_.size() * 2, now);
       mask = keys_.size() - 1;
       i = Mix(key) & mask;
       while (keys_[i] != kEmpty) i = (i + 1) & mask;  // Key known absent.
@@ -66,10 +74,12 @@ class PairClock {
   size_t size() const { return size_; }
   /// Table slots (the bytes/node accounting in docs/scaling.md).
   size_t capacity() const { return keys_.size(); }
-  /// Fresh-key insertions ever performed by Advance(). An upper bound on
-  /// the distinct links a rehash-free replay of the same run must hold, so
-  /// Reserve(inserts() + 1) guarantees the replay never grows the table
-  /// (the two-run census in bench_micro).
+  /// Fresh-key insertions ever performed by Advance(), counting a link
+  /// again each time it returns after eviction. Still an upper bound on the
+  /// links a replay of the same run ever holds at once, so
+  /// Reserve(inserts() + 1) guarantees the replay never reaches the load
+  /// bound, and so never evicts or grows (the two-run census in
+  /// bench_micro).
   uint64_t inserts() const { return inserts_; }
 
  private:
@@ -93,6 +103,36 @@ class PairClock {
     keys_.assign(capacity, kEmpty);
     clocks_.assign(capacity, 0.0);
     size_ = 0;
+  }
+
+  /// Deletes every dead link (clock <= now) in place. Knuth's Algorithm R:
+  /// each deletion shifts the rest of its probe cluster back over the hole,
+  /// so every survivor stays reachable from its home slot. A slot is
+  /// re-examined after a deletion because a shifted entry may land in it;
+  /// entries shift only from later in the cluster, and the cluster ends at
+  /// an empty slot, so every slot is examined before the scan passes it.
+  void EvictDead(sim::SimTime now) {
+    const size_t mask = keys_.size() - 1;
+    for (size_t slot = 0; slot < keys_.size(); ++slot) {
+      while (keys_[slot] != kEmpty && clocks_[slot] <= now) {
+        size_t hole = slot;
+        for (size_t j = (hole + 1) & mask; keys_[j] != kEmpty;
+             j = (j + 1) & mask) {
+          // The entry at j may fill the hole only if its home slot does not
+          // lie cyclically in (hole, j]; otherwise the move would put it
+          // before its home.
+          const size_t home = Mix(keys_[j]) & mask;
+          const bool home_after_hole = hole <= j ? (hole < home && home <= j)
+                                                 : (hole < home || home <= j);
+          if (home_after_hole) continue;
+          keys_[hole] = keys_[j];
+          clocks_[hole] = clocks_[j];
+          hole = j;
+        }
+        keys_[hole] = kEmpty;
+        --size_;
+      }
+    }
   }
 
   void Rehash(size_t new_capacity, sim::SimTime now) {

@@ -73,7 +73,6 @@ uint32_t CupInterest::SlotOf(NodeId node) {
   return states_.SlotOrInit(host_->tree()->registry(), node,
                             [](CupHot& hot, CupCold& cold) {
                               hot.interest_notified = false;
-                              hot.last_forwarded = 0;
                               cold.branches.clear();
                             });
 }
@@ -211,13 +210,6 @@ void CupInterest::ForwardPush(NodeId at, IndexVersion version,
   }
 }
 
-bool CupInterest::MarkForwarded(NodeId at, IndexVersion version) {
-  CupHot& hot = states_.HotAt(SlotOf(at));
-  if (version <= hot.last_forwarded) return false;
-  hot.last_forwarded = version;
-  return true;
-}
-
 bool CupInterest::HandOverSplit(NodeId node, NodeId parent, NodeId child) {
   const uint32_t parent_slot =
       states_.FindSlot(host_->tree()->registry(), parent);
@@ -263,14 +255,13 @@ void CupInterest::RenotifyOrphans(const std::vector<NodeId>& former_children) {
 void CupInterest::Reregister() {
   const topo::IndexSearchTree* tree = host_->tree();
   scratch_.clear();
-  states_.ForEach([&](NodeId node, const CupHot& hot, const CupCold&) {
+  // Ascending id order, so the refresh burst is deterministic.
+  states_.ForEachById(tree->registry(), [&](NodeId node, const CupHot& hot,
+                                            const CupCold&) {
     if (!hot.interest_notified) return;
     if (!tree->Contains(node) || node == tree->root()) return;
     scratch_.push_back(node);
   });
-  // Slab slot order is churn-dependent; sort so the refresh burst is
-  // deterministic.
-  std::sort(scratch_.begin(), scratch_.end());
   for (NodeId node : scratch_) SendRegister(node);
 }
 
@@ -287,10 +278,11 @@ void CupInterest::RearmNotifications() {
 
 std::vector<NodeId> CupInterest::NotifiedNodes() const {
   std::vector<NodeId> notified;
-  states_.ForEach([&notified](NodeId node, const CupHot& hot, const CupCold&) {
-    if (hot.interest_notified) notified.push_back(node);
-  });
-  std::sort(notified.begin(), notified.end());
+  states_.ForEachById(
+      host_->tree()->registry(),
+      [&notified](NodeId node, const CupHot& hot, const CupCold&) {
+        if (hot.interest_notified) notified.push_back(node);
+      });
   return notified;
 }
 
@@ -308,7 +300,9 @@ CupProtocol::CupProtocol(net::OverlayNetwork* network,
                          topo::IndexSearchTree* tree,
                          const ProtocolOptions& options,
                          const CupOptions& cup_options)
-    : TreeProtocolBase(network, tree, options), interest_(this, cup_options) {}
+    : TreeProtocolBase(network, tree, options), interest_(this, cup_options) {
+  last_forwarded_.Reserve(tree->registry());  // No growth on the push path.
+}
 
 void CupProtocol::AfterRequestObserved(NodeId at, NodeId from_child) {
   interest_.RecordDemand(at, from_child);
@@ -318,9 +312,17 @@ void CupProtocol::AfterQueryObserved(NodeId node) {
   interest_.NotifyIfInterested(node);
 }
 
+bool CupProtocol::MarkForwarded(NodeId at, IndexVersion version) {
+  IndexVersion& last = last_forwarded_.GetOrInit(
+      tree()->registry(), at, [](IndexVersion& v) { v = 0; });
+  if (version <= last) return false;
+  last = version;
+  return true;
+}
+
 void CupProtocol::OnRootPublish(IndexVersion version, sim::SimTime expiry) {
   TreeProtocolBase::OnRootPublish(version, expiry);
-  interest_.MarkForwarded(tree()->root(), version);
+  MarkForwarded(tree()->root(), version);
   interest_.ForwardPush(tree()->root(), version, expiry);
 }
 
@@ -329,7 +331,7 @@ void CupProtocol::HandleProtocolMessage(const Message& message) {
     case MessageType::kPush: {
       const NodeId at = message.to;
       StateOf(at).cache.Put(MakeCacheEntry(message.version, message.expiry));
-      if (!interest_.MarkForwarded(at, message.version)) return;
+      if (!MarkForwarded(at, message.version)) return;
       interest_.ForwardPush(at, message.version, message.expiry);
       return;
     }
@@ -354,6 +356,7 @@ void CupProtocol::OnNodeRemoved(NodeId node, NodeId /*former_parent*/,
                                 const std::vector<NodeId>& former_children,
                                 bool /*was_root*/, NodeId /*new_root*/) {
   interest_.Erase(node);
+  last_forwarded_.Erase(tree()->registry(), node);
   EraseState(node);
   interest_.RenotifyOrphans(former_children);
 }

@@ -63,10 +63,11 @@ struct CupOptions {
 /// *inactive* until the branch first shows demand, replicating map-entry
 /// existence (HasBranchEntry and the cup-registration audit invariant read
 /// entry existence, not slot presence). The slab is hot/cold split
-/// (docs/profiling.md): the duplicate-push check and the notified-interest
-/// flag — touched on every push delivery and every query — pack into the
-/// hot array; the branch tables live in the parallel cold array only
-/// demand recording and push fan-out stride.
+/// (docs/profiling.md): the notified-interest flag — touched on every
+/// query — packs into the hot array; the branch tables live in the
+/// parallel cold array only demand recording and push fan-out stride. The
+/// duplicate-push stamp is not here: each host keeps its own (CupProtocol's
+/// below, DupHot::last_forwarded for the adaptive protocol).
 class CupInterest {
  public:
   /// Preallocates a table for every current node of `host`'s tree. `host`
@@ -92,10 +93,6 @@ class CupInterest {
 
   /// Pushes `version` from `at` down every branch the policy selects.
   void ForwardPush(NodeId at, IndexVersion version, sim::SimTime expiry);
-
-  /// Records `version` as forwarded by `at`; false when it already was (a
-  /// duplicate push).
-  bool MarkForwarded(NodeId at, IndexVersion version);
 
   /// Split handover: the parent's demand record for the split branch now
   /// describes the edge to `node`, and `node` inherits a copy for `child`.
@@ -141,17 +138,18 @@ class CupInterest {
     cache::AccessTracker demand;
   };
 
-  /// Hot half: read on every push delivery (duplicate filtering) and every
-  /// local query (one-shot notification gate).
+  /// Hot half: read on every local query (one-shot notification gate).
   struct CupHot {
     /// Whether this node already notified its parent of its own interest.
     bool interest_notified = false;
-    IndexVersion last_forwarded = 0;
   };
   /// Cold half: only demand recording and push fan-out stride it.
   struct CupCold {
     std::vector<BranchSlot> branches;  ///< Degree-bounded; linear scan.
   };
+  // Layout gate (docs/scaling.md): owner tag, live flag and the one flag.
+  static_assert(core::SplitNodeSlab<CupHot, CupCold>::kHotEntryBytes == 8,
+                "CUP hot entry: owner, live flag, notified flag");
 
   /// Slab slot of `node`'s state, created (or re-initialised on a recycled
   /// slot) on first access; for a departed node, its lingering state.
@@ -238,7 +236,15 @@ class CupProtocol : public TreeProtocolBase {
   void HandleProtocolMessage(const net::Message& message) override;
 
  private:
+  /// Records `version` as forwarded by `at`; false when it already was (a
+  /// duplicate push).
+  bool MarkForwarded(NodeId at, IndexVersion version);
+
   CupInterest interest_;
+  /// Newest version each node forwarded (the duplicate-push filter). Kept
+  /// here rather than in CupInterest's hot entry, which the adaptive
+  /// protocol shares but dedupes on DupHot::last_forwarded instead.
+  core::NodeSlab<IndexVersion> last_forwarded_;
 };
 
 }  // namespace dupnet::proto

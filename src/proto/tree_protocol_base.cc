@@ -80,13 +80,10 @@ bool TreeProtocolBase::NodeInterested(NodeId node) {
 
 void TreeProtocolBase::VisitCaches(
     const std::function<void(NodeId, const cache::IndexCache&)>& fn) const {
-  std::vector<std::pair<NodeId, const cache::IndexCache*>> caches;
-  states_.ForEach([&caches](NodeId node, const BaseNodeState& state) {
-    caches.emplace_back(node, &state.cache);
-  });
-  std::sort(caches.begin(), caches.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [node, cache] : caches) fn(node, *cache);
+  states_.ForEachById(tree_->registry(),
+                      [&fn](NodeId node, const BaseNodeState& state) {
+                        fn(node, state.cache);
+                      });
 }
 
 void TreeProtocolBase::AfterRequestObserved(NodeId /*at*/,

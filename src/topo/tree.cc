@@ -61,17 +61,14 @@ uint32_t IndexSearchTree::Depth(NodeId node) const {
   return depth;
 }
 
-std::vector<NodeId> IndexSearchTree::PathToRoot(NodeId node) const {
-  std::vector<NodeId> path;
+bool IndexSearchTree::InSubtree(NodeId node, NodeId ancestor) const {
   NodeId cur = node;
-  path.push_back(cur);
-  while (cur != root_) {
+  for (size_t steps = 0; cur != ancestor; ++steps) {
+    if (cur == root_) return false;
     cur = Parent(cur);
-    path.push_back(cur);
-    DUP_CHECK_LE(path.size(), size() + 1)
-        << "cycle detected at node " << node;
+    DUP_CHECK_LE(steps, size()) << "cycle detected at node " << node;
   }
-  return path;
+  return true;
 }
 
 NodeId IndexSearchTree::NearestCommonAncestor(NodeId a, NodeId b) const {

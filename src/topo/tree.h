@@ -49,8 +49,10 @@ class IndexSearchTree {
   /// Number of edges from `node` up to the root. Pre: Contains(node).
   uint32_t Depth(NodeId node) const;
 
-  /// Nodes from `node` (inclusive) up to the root (inclusive).
-  std::vector<NodeId> PathToRoot(NodeId node) const;
+  /// Whether `ancestor` lies on the path from `node` (inclusive) up to the
+  /// root (inclusive). Walks parent links; allocates nothing.
+  /// Pre: Contains(node).
+  bool InSubtree(NodeId node, NodeId ancestor) const;
 
   /// Deepest common ancestor of `a` and `b`. Pre: both contained.
   NodeId NearestCommonAncestor(NodeId a, NodeId b) const;

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <set>
 #include <vector>
@@ -435,6 +436,136 @@ TEST_P(DupConcurrencyPropertyTest, InterleavedSubscriptionsConverge) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DupConcurrencyPropertyTest,
                          ::testing::Range(uint64_t{100}, uint64_t{120}));
+
+/// Exposes the slab the visitors read, so the test can rebuild what the
+/// visitors used to yield: every live slab entry, collected and sorted.
+class InspectableDup : public DupProtocol {
+ public:
+  using DupProtocol::DupProtocol;
+  using DupProtocol::dup_states;
+  using DupProtocol::HasState;
+};
+
+/// Checks the audit visitors against the slabs: strictly ascending ids, and
+/// exactly the entries a collect-and-sort over the slab yields. Returns the
+/// ids VisitSubscriberStates yielded.
+std::vector<NodeId> ExpectVisitorsMatchSlabs(InspectableDup* protocol,
+                                             NodeId id_bound) {
+  std::vector<NodeId> caches, lists, fan_outs;
+  protocol->VisitCaches(
+      [&](NodeId node, const cache::IndexCache&) { caches.push_back(node); });
+  protocol->VisitSubscriberStates(
+      [&](NodeId node, const SubscriberList&) { lists.push_back(node); });
+  protocol->VisitFanOutStates(
+      [&](NodeId node, const DupProtocol::FanOutState& state) {
+        EXPECT_EQ(state.slist, protocol->FindSubscriberList(node));
+        fan_outs.push_back(node);
+      });
+  for (const std::vector<NodeId>* ids : {&caches, &lists, &fan_outs}) {
+    EXPECT_EQ(std::adjacent_find(ids->begin(), ids->end(),
+                                 std::greater_equal<NodeId>()),
+              ids->end())
+        << "ids not strictly ascending";
+  }
+
+  std::vector<NodeId> expected_dup;
+  protocol->dup_states().ForEach(
+      [&](NodeId node, const auto&, const auto&) {
+        expected_dup.push_back(node);
+      });
+  std::sort(expected_dup.begin(), expected_dup.end());
+  EXPECT_EQ(lists, expected_dup);
+  EXPECT_EQ(fan_outs, expected_dup);
+
+  std::vector<NodeId> expected_caches;
+  for (NodeId node = 0; node < id_bound; ++node) {
+    if (protocol->HasState(node)) expected_caches.push_back(node);
+  }
+  EXPECT_EQ(caches, expected_caches);
+  return lists;
+}
+
+// The audit visitors walk the slabs in id order. Under churn — slots
+// recycled by newcomers, and a departed node's state lingering until the
+// protocol hears of the removal — they must still yield every entry
+// exactly once, in ascending id order. The arity cap is on so the fan-out
+// visitor also reads the side table.
+TEST(DupVisitorContractTest, ChurnYieldsSortedSlabEntries) {
+  util::Rng rng(20261018);
+  topo::TreeGeneratorOptions gen;
+  gen.num_nodes = 40;
+  gen.max_degree = 3;
+  auto tree = topo::TreeGenerator::Generate(gen, &rng);
+  ASSERT_TRUE(tree.ok());
+
+  ProtocolHarness harness(std::move(*tree), /*seed=*/11);
+  DupOptions dup_options;
+  dup_options.max_arity = 2;
+  InspectableDup protocol(&harness.network(), &harness.tree(),
+                          ProtocolOptions(), dup_options);
+  harness.Attach(&protocol);
+  protocol.OnRootPublish(1, harness.engine().Now() + 3600.0);
+  harness.Drain();
+
+  std::vector<NodeId> live = harness.tree().NodesPreOrder();
+  NodeId fresh = 40;
+  IndexVersion version = 1;
+  size_t lingering_seen = 0;
+  for (int step = 0; step < 300; ++step) {
+    const NodeId target =
+        live[static_cast<size_t>(rng.UniformInt(0, live.size() - 1))];
+    switch (rng.UniformInt(0, 4)) {
+      case 0:
+      case 1:
+        protocol.ForceSubscribe(target);
+        break;
+      case 2: {
+        const auto& children = harness.tree().Children(target);
+        if (!children.empty() && rng.Bernoulli(0.5)) {
+          const NodeId child = children[static_cast<size_t>(
+              rng.UniformInt(0, children.size() - 1))];
+          ASSERT_TRUE(harness.tree().SplitEdge(target, child, fresh).ok());
+          protocol.OnSplitJoined(fresh, target, child);
+        } else {
+          ASSERT_TRUE(harness.tree().AttachLeaf(target, fresh).ok());
+          protocol.OnLeafJoined(fresh, target);
+        }
+        live.push_back(fresh++);
+        break;
+      }
+      default: {
+        if (live.size() <= 20 || target == harness.tree().root()) break;
+        const NodeId parent = harness.tree().Parent(target);
+        const std::vector<NodeId> orphans = harness.tree().Children(target);
+        ASSERT_TRUE(harness.tree().RemoveNode(target).ok());
+        harness.network().SetNodeDown(target, true);
+        // The tree has released the node; the protocol has not yet heard
+        // of it, so its state lingers and must still be visited.
+        const std::vector<NodeId> lists =
+            ExpectVisitorsMatchSlabs(&protocol, fresh);
+        if (std::binary_search(lists.begin(), lists.end(), target)) {
+          ++lingering_seen;
+        }
+        protocol.OnNodeRemoved(target, parent, orphans, /*was_root=*/false,
+                               harness.tree().root());
+        live.erase(std::find(live.begin(), live.end(), target));
+        break;
+      }
+    }
+    harness.Drain();
+    ExpectVisitorsMatchSlabs(&protocol, fresh);
+    if (step % 25 == 24) {
+      protocol.OnRootPublish(++version, harness.engine().Now() + 3600.0);
+      harness.Drain();
+    }
+    const auto audit = harness.Audit();
+    ASSERT_TRUE(audit.ok()) << "step " << step << ": " << audit.ToString();
+  }
+  EXPECT_GT(lingering_seen, 0u);
+  // Newcomers recycled departed nodes' slots.
+  EXPECT_LT(harness.tree().registry().slot_count(),
+            static_cast<size_t>(fresh));
+}
 
 }  // namespace
 }  // namespace dupnet::core

@@ -1,7 +1,9 @@
 #include "core/node_registry.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -193,6 +195,74 @@ TEST(NodeRegistryPropertyTest, ChurnNeverAliasesAndKeepsIdsStable) {
     }
   });
   EXPECT_EQ(visited_live, live_ids.size());
+}
+
+// The id-order walk must visit exactly the entries the slot-order walk
+// visits — live, lingering (released, not erased) and recycled slots alike
+// — sorted by id, which is what the audit visitors used to build by
+// collecting and sorting.
+TEST(NodeSlabTest, ForEachByIdIsSortedForEachUnderChurn) {
+  util::Rng rng(20261018);
+  NodeRegistry registry;
+  NodeSlab<uint64_t> slab;
+  SplitNodeSlab<uint32_t, uint64_t> split;
+  NodeId next_id = 0;
+  std::vector<NodeId> live_ids;
+
+  for (int round = 0; round < 5000; ++round) {
+    const uint32_t dice = rng.UniformInt(0, 9);
+    if (dice < 5 || live_ids.empty()) {
+      const NodeId id = next_id++;
+      registry.Acquire(id);
+      live_ids.push_back(id);
+      // Some newcomers never touch one of the slabs: state is created on
+      // first access, not on registration.
+      if (rng.UniformInt(0, 3) != 0) {
+        slab.GetOrInit(registry, id, [&](uint64_t& v) { v = id; });
+      }
+      if (rng.UniformInt(0, 3) != 0) {
+        split.SlotOrInit(registry, id, [&](uint32_t& hot, uint64_t& cold) {
+          hot = id;
+          cold = id;
+        });
+      }
+    } else {
+      const size_t pick = rng.UniformInt(0, live_ids.size() - 1);
+      const NodeId id = live_ids[pick];
+      live_ids[pick] = live_ids.back();
+      live_ids.pop_back();
+      registry.Release(id);
+      // Half the departures leave their state lingering.
+      if (rng.UniformInt(0, 1) == 0) slab.Erase(registry, id);
+      if (rng.UniformInt(0, 1) == 0) split.Erase(registry, id);
+    }
+    if (round % 50 != 49) continue;
+
+    std::vector<std::pair<NodeId, const uint64_t*>> expected, walked;
+    slab.ForEach([&](NodeId id, const uint64_t& v) {
+      expected.emplace_back(id, &v);
+    });
+    std::sort(expected.begin(), expected.end());
+    slab.ForEachById(registry, [&](NodeId id, const uint64_t& v) {
+      walked.emplace_back(id, &v);
+    });
+    ASSERT_EQ(walked, expected) << "round " << round;
+
+    std::vector<std::pair<NodeId, const uint64_t*>> split_expected,
+        split_walked;
+    split.ForEach([&](NodeId id, const uint32_t&, const uint64_t& cold) {
+      split_expected.emplace_back(id, &cold);
+    });
+    std::sort(split_expected.begin(), split_expected.end());
+    split.ForEachById(registry,
+                      [&](NodeId id, const uint32_t& hot, const uint64_t& c) {
+                        EXPECT_EQ(hot, id);
+                        split_walked.emplace_back(id, &c);
+                      });
+    ASSERT_EQ(split_walked, split_expected) << "round " << round;
+  }
+  // The churn really recycled slots.
+  EXPECT_LT(registry.slot_count(), static_cast<size_t>(next_id) / 2);
 }
 
 }  // namespace

@@ -64,9 +64,9 @@ TEST(SubscriberListTest, EntriesKeepInsertionOrder) {
   list.Set(2, 20);
   const auto& entries = list.entries();
   ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].first, 3u);
-  EXPECT_EQ(entries[1].first, 1u);
-  EXPECT_EQ(entries[2].first, 2u);
+  EXPECT_EQ(entries[0].branch, 3u);
+  EXPECT_EQ(entries[1].branch, 1u);
+  EXPECT_EQ(entries[2].branch, 2u);
 }
 
 TEST(SubscriberListTest, ContainsSubscriber) {

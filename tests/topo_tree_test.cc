@@ -44,11 +44,17 @@ TEST(TreeTest, DepthMatchesPaperFigure) {
   EXPECT_EQ(tree.Depth(7), 5u);
 }
 
-TEST(TreeTest, PathToRoot) {
+TEST(TreeTest, InSubtree) {
   IndexSearchTree tree = MakePaperTree();
-  const auto path = tree.PathToRoot(6);
-  EXPECT_EQ(path, (std::vector<NodeId>{6, 5, 3, 2, 1}));
-  EXPECT_EQ(tree.PathToRoot(1), std::vector<NodeId>{1});
+  // 6's path to the root is 6, 5, 3, 2, 1; nothing else contains 6.
+  std::vector<NodeId> ancestors;
+  for (NodeId node = 1; node <= 8; ++node) {
+    if (tree.InSubtree(6, node)) ancestors.push_back(node);
+  }
+  EXPECT_EQ(ancestors, (std::vector<NodeId>{1, 2, 3, 5, 6}));
+  EXPECT_TRUE(tree.InSubtree(1, 1));
+  EXPECT_FALSE(tree.InSubtree(1, 2));
+  EXPECT_FALSE(tree.InSubtree(6, 4));
 }
 
 TEST(TreeTest, NearestCommonAncestor) {

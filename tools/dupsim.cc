@@ -66,6 +66,14 @@ experiment::KeySchema SingleKeySchema() {
            kJobsKey, kCsvKey, kJsonKey}};
 }
 
+/// transport=wire runs one scheme once and prints its result: it has no
+/// replications, worker threads or result files, so reps=, jobs=, csv= and
+/// json= are refused rather than silently ignored.
+experiment::KeySchema WireSchema() {
+  return {"dupsim transport=wire mode", experiment::AllConfigKeys(),
+          {kSchemeKey}};
+}
+
 experiment::KeySchema MultiKeySchema() {
   return {"dupsim keys=K mode",
           multikey::MultiKeyConfigKeys(),
@@ -308,6 +316,7 @@ int main(int argc, char** argv) {
   base.measure_time = 10620.0;
   ParseArgsOrExit(SingleKeySchema(), &*args, &base);
   if (base.transport == experiment::TransportKind::kWire) {
+    ParseArgsOrExit(WireSchema(), &*args, &base);
     return RunWire(*args, base);
   }
   const auto schemes = SchemesFor(args->GetString("scheme", "dup"));
