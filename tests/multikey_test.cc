@@ -1,6 +1,7 @@
 #include "multikey/simulation.h"
 
 #include <cstdlib>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -337,6 +338,96 @@ INSTANTIATE_TEST_SUITE_P(Schemes, MultiKeyShardTest,
                            return std::string(
                                experiment::SchemeToString(info.param));
                          });
+
+// --- Goldens: full-precision outputs of two small runs. --------------------
+//
+// The shard tests above only compare multikey runs with each other. These
+// rows pin a lossless DUP run and a lossy adaptive run with retries and
+// soft-state refresh (K = 8, SmallConfig) to their absolute outputs: the
+// merged RunMetrics, every key's publish count and migration count, and the
+// events processed. Any change to how a key's events are scheduled or fired
+// shows up here as a bit-level diff. If a change legitimately alters the
+// simulation, regenerate a row with a %.17g print of every field and say
+// why in the commit message.
+
+struct MultiKeyGoldenRow {
+  const char* name;
+  uint64_t queries, queries_issued;
+  double avg_latency_hops, avg_cost_hops, local_hit_rate, stale_rate;
+  uint64_t hops_request, hops_reply, hops_push, hops_control;
+  double delivery_ratio;
+  uint64_t sent, delivered, dropped, retries, giveups;
+  uint64_t p50, p95, p99, max;
+  uint64_t publishes[8];
+  size_t migrations[8];
+  uint64_t events_processed;
+};
+
+MultiKeyConfig GoldenConfig(const MultiKeyGoldenRow& row) {
+  MultiKeyConfig config = SmallConfig();
+  if (std::string_view(row.name) == "adaptive/lossy") {
+    config.scheme = experiment::Scheme::kAdaptive;
+    config.faults.loss_rate = 0.05;
+    config.faults.retry_max = 4;
+    config.faults.refresh_interval = 600.0;
+  }
+  return config;
+}
+
+const MultiKeyGoldenRow kMultiKeyGolden[] = {
+    {"dup/lossless", 18069u, 18069u, 0.10952460014389286,
+     0.33770546239415572, 0.91084177320272286, 0.016935082184957661, 1979u,
+     1979u, 1260u, 884u, 1.0, 6102u, 6102u, 0u, 0u, 0u, 0u, 1u, 2u, 4u,
+     {5u, 5u, 4u, 4u, 4u, 4u, 4u, 4u}, {0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u},
+     34079u},
+    {"adaptive/lossy", 17627u, 18025u, 0.21943609235831396,
+     0.71055766721506775, 0.87950303511658257, 0.10171895387757418, 4743u,
+     4217u, 1183u, 2382u, 0.95592814371257484, 12525u, 11973u, 553u, 328u,
+     0u, 0u, 1u, 4u, 7u, {5u, 5u, 4u, 4u, 4u, 4u, 4u, 4u},
+     {1u, 1u, 1u, 1u, 1u, 1u, 1u, 1u}, 46749u},
+};
+
+TEST(MultiKeyGoldenTest, MatchesGoldenRows) {
+  for (const MultiKeyGoldenRow& row : kMultiKeyGolden) {
+    SCOPED_TRACE(row.name);
+    for (size_t shards : {1u, 2u}) {
+      MultiKeyConfig config = GoldenConfig(row);
+      config.shards = shards;
+      auto result = MultiKeySimulation::Run(config);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+      const metrics::RunMetrics& m = result->aggregate;
+      // EXPECT_EQ on doubles on purpose: the contract is bit-identity.
+      EXPECT_EQ(m.queries, row.queries);
+      EXPECT_EQ(m.queries_issued, row.queries_issued);
+      EXPECT_EQ(m.avg_latency_hops, row.avg_latency_hops);
+      EXPECT_EQ(m.avg_cost_hops, row.avg_cost_hops);
+      EXPECT_EQ(m.local_hit_rate, row.local_hit_rate);
+      EXPECT_EQ(m.stale_rate, row.stale_rate);
+      EXPECT_EQ(m.hops.request(), row.hops_request);
+      EXPECT_EQ(m.hops.reply(), row.hops_reply);
+      EXPECT_EQ(m.hops.push(), row.hops_push);
+      EXPECT_EQ(m.hops.control(), row.hops_control);
+      EXPECT_EQ(m.delivery_ratio, row.delivery_ratio);
+      EXPECT_EQ(m.delivery.total_sent(), row.sent);
+      EXPECT_EQ(m.delivery.total_delivered(), row.delivered);
+      EXPECT_EQ(m.delivery.total_dropped(), row.dropped);
+      EXPECT_EQ(m.delivery.total_retries(), row.retries);
+      EXPECT_EQ(m.delivery.total_giveups(), row.giveups);
+      EXPECT_EQ(m.latency_p50, row.p50);
+      EXPECT_EQ(m.latency_p95, row.p95);
+      EXPECT_EQ(m.latency_p99, row.p99);
+      EXPECT_EQ(m.latency_max, row.max);
+      ASSERT_EQ(result->keys.size(), std::size(row.publishes));
+      for (size_t k = 0; k < result->keys.size(); ++k) {
+        EXPECT_EQ(result->keys[k].publishes, row.publishes[k]) << "key " << k;
+        EXPECT_EQ(result->keys[k].migrations.size(), row.migrations[k])
+            << "key " << k;
+      }
+      EXPECT_EQ(result->events_processed, row.events_processed);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace dupnet::multikey
