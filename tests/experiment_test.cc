@@ -216,6 +216,46 @@ TEST(DriverTest, HostDrivenUpdatesRun) {
   EXPECT_GT(metrics->hops.push(), 0u);  // Updates did happen and propagate.
 }
 
+// Nothing is scheduled at t == warmup + measure: RunUntil fires events at
+// exactly its end time, so a publish or refresh round there would send
+// messages none of which can land inside the measurement window.
+TEST(DriverTest, NothingFiresOnTheHorizon) {
+  ExperimentConfig config;
+  config.scheme = Scheme::kDup;
+  config.num_nodes = 64;
+  config.lambda = 4.0;
+  config.warmup_time = 0.0;
+  config.measure_time = 1000.0;
+  config.seed = 5;
+  // Queries stop at t = 900, so whatever is sent after that comes from a
+  // publish or a refresh round.
+  config.phases = {{900.0, 1e-9, 0}};
+  struct Case {
+    const char* name;
+    double ttl, push_lead, refresh_interval;
+    IndexVersion last_version;
+  };
+  // Publish period 500 puts version 3 on the horizon; a 250 s refresh
+  // interval puts the fourth round there (and period 600 keeps publishes
+  // off it).
+  for (const Case& c : {Case{"publish", 600.0, 100.0, 0.0, 2},
+                        Case{"refresh", 700.0, 100.0, 250.0, 2}}) {
+    SCOPED_TRACE(c.name);
+    config.ttl = c.ttl;
+    config.push_lead = c.push_lead;
+    config.faults.refresh_interval = c.refresh_interval;
+    SimulationDriver driver(config);
+    ASSERT_TRUE(driver.Init().ok());
+    driver.RunUntil(999.0);
+    const uint64_t sent = driver.recorder().delivery().total_sent();
+    EXPECT_GT(sent, 0u);
+    driver.RunToCompletion();
+    EXPECT_EQ(driver.protocol().latest_version(), c.last_version);
+    EXPECT_EQ(driver.recorder().delivery().total_sent(), sent);
+    EXPECT_EQ(driver.engine().pending(), 0u);
+  }
+}
+
 TEST(DriverTest, HostDrivenRejectsBadRate) {
   ExperimentConfig config = SmallConfig();
   config.update_mode = UpdateMode::kHostDriven;
