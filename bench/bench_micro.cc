@@ -371,7 +371,7 @@ struct AuditBaseline {
 };
 
 AuditBaseline MeasureAuditQuiescent() {
-  constexpr double kMaxBytesPerNode = 16.0;
+  constexpr double kMaxBytesPerNode = 1.0;
   const experiment::ExperimentConfig config =
       MicroSimConfig(experiment::Scheme::kDup);
   experiment::SimulationDriver driver(config);

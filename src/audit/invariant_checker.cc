@@ -150,19 +150,22 @@ void InvariantChecker::CheckCaches(sim::SimTime now) {
   const double ttl = protocol_->options().ttl;
   protocol_->VisitCaches([&](NodeId node, const cache::IndexCache& cache) {
     const IndexVersion stored = cache.stored_version();
-    // Versions are unsigned, so an id seen for the first time (witness 0)
-    // can never fail the check.
-    if (last_cache_version_.size() <= node) {
-      last_cache_version_.resize(tree_->registry().id_bound(), 0);
+    if (track_cache_versions_) {
+      // Versions are unsigned, so an id seen for the first time (witness 0)
+      // can never fail the check.
+      if (last_cache_version_.size() <= node) {
+        last_cache_version_.resize(tree_->registry().id_bound(), 0);
+      }
+      IndexVersion& witness = last_cache_version_[node];
+      if (stored < witness) {
+        Report(now, "cache-monotonic", node, kInvalidNode,
+               util::StrFormat("version >= %llu",
+                               static_cast<unsigned long long>(witness)),
+               util::StrFormat("%llu",
+                               static_cast<unsigned long long>(stored)));
+      }
+      witness = std::max(witness, stored);
     }
-    IndexVersion& witness = last_cache_version_[node];
-    if (stored < witness) {
-      Report(now, "cache-monotonic", node, kInvalidNode,
-             util::StrFormat("version >= %llu",
-                             static_cast<unsigned long long>(witness)),
-             util::StrFormat("%llu", static_cast<unsigned long long>(stored)));
-    }
-    witness = std::max(witness, stored);
     if (stored > latest) {
       Report(now, "cache-from-future", node, kInvalidNode,
              util::StrFormat("version <= authority's %llu",
@@ -506,6 +509,8 @@ util::Status AuditQuiescent(const topo::IndexSearchTree& tree,
                             const net::OverlayNetwork& network,
                             const proto::TreeProtocolBase& protocol) {
   InvariantChecker checker(&tree, &network, &protocol);
+  // A single pass has no earlier pass to be monotonic against.
+  checker.track_cache_versions_ = false;
   if (!checker.quiescent()) {
     return util::Status::FailedPrecondition(util::StrFormat(
         "network not quiescent: %zu in flight, %zu awaiting ack",

@@ -152,6 +152,10 @@ class InvariantChecker {
   void CheckCupGlobal(sim::SimTime now);
   void CheckAdaptiveHandover(sim::SimTime now);
 
+  friend util::Status AuditQuiescent(const topo::IndexSearchTree& tree,
+                                     const net::OverlayNetwork& network,
+                                     const proto::TreeProtocolBase& protocol);
+
   const topo::IndexSearchTree* tree_;
   const net::OverlayNetwork* network_;
   const proto::TreeProtocolBase* protocol_;
@@ -166,8 +170,11 @@ class InvariantChecker {
   Options options_;
 
   /// Highest cache version seen per node id (monotonicity witness): dense,
-  /// since ids are issued densely and never reused.
+  /// since ids are issued densely and never reused. Kept only when
+  /// track_cache_versions_ is set: the one-shot AuditQuiescent runs a
+  /// single pass, which the cross-pass witness can never fail.
   std::vector<IndexVersion> last_cache_version_;
+  bool track_cache_versions_ = true;
   std::vector<Violation> violations_;
   uint64_t total_violations_ = 0;
   uint64_t checks_run_ = 0;
