@@ -2,26 +2,20 @@
 #define DUP_MULTIKEY_SIMULATION_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "chord/ring.h"
 #include "experiment/config.h"
 #include "experiment/config_keys.h"
-#include "metrics/recorder.h"
 #include "metrics/summary.h"
 #include "net/fault_injection.h"
-#include "net/overlay_network.h"
 #include "proto/adaptive_controller.h"
-#include "proto/tree_protocol_base.h"
 #include "sim/engine.h"
-#include "topo/tree.h"
 #include "util/json.h"
-#include "util/rng.h"
-#include "workload/arrivals.h"
-#include "workload/update_schedule.h"
-#include "workload/zipf_selector.h"
+
+namespace dupnet::experiment {
+class SimulationDriver;
+}
 
 namespace dupnet::multikey {
 
@@ -57,8 +51,7 @@ struct MultiKeyConfig {
 
   /// Message-level fault model applied to every key's network (default:
   /// strict no-op, zero extra RNG draws). Must Validate(). A positive
-  /// refresh_interval also runs each key's soft-state refresh on that
-  /// period, as the single-key driver does.
+  /// refresh_interval runs each key's soft-state refresh on that period.
   net::FaultConfig faults;
 
   double warmup_time = 3600.0;
@@ -127,15 +120,17 @@ struct MultiKeyResult {
 /// Runs a multi-key simulation to completion, optionally sharded across
 /// worker threads.
 ///
-/// The unit of determinism is the key: each key owns its own index search
-/// tree (derived from the shared Chord ring), protocol instance, overlay
-/// network, recorder, Zipf node selector, arrival process and — crucially —
-/// its own SplitMix64-decorrelated RNG stream seeded by (seed, key). Keys
-/// share no mutable state, so the K per-key event sequences are independent
-/// of how keys are grouped onto engines. Shards merely partition keys
-/// round-robin onto S private engines driven concurrently; Collect() merges
-/// per-key metrics in ascending key order, so the merged RunMetrics are
-/// bit-identical for every shard count (pinned by tests/multikey_test.cc).
+/// Each key is one experiment::SimulationDriver in its hosted form: the
+/// single-key model with its own index search tree (derived from the one
+/// shared Chord ring), protocol, overlay network, recorder, Zipf node
+/// selector, arrival process at lambda x (the key's popularity mass) and —
+/// crucially — its own SplitMix64-decorrelated RNG stream seeded by
+/// (seed, key). Keys share no mutable state, so the K per-key event
+/// sequences are independent of how keys are grouped onto engines. Shards
+/// merely partition the drivers round-robin onto S engines driven
+/// concurrently; Collect() merges per-key metrics in ascending key order,
+/// so the merged RunMetrics are bit-identical for every shard count
+/// (pinned by tests/multikey_test.cc).
 ///
 /// Update schedules are phase-staggered across keys so version boundaries
 /// do not synchronise artificially.
@@ -143,70 +138,24 @@ class MultiKeySimulation {
  public:
   static util::Result<MultiKeyResult> Run(const MultiKeyConfig& config);
 
+  ~MultiKeySimulation();
+
  private:
-  /// Typed event codes. kEventQuery/kEventPublish/kEventRefresh carry the
-  /// global key index in arg; kEventWarmupEnd is per shard.
-  static constexpr uint32_t kEventWarmupEnd = 0;
-  static constexpr uint32_t kEventQuery = 1;
-  static constexpr uint32_t kEventPublish = 2;
-  static constexpr uint32_t kEventRefresh = 3;
-
-  struct Shard;
-
-  /// Everything one key owns. No member is touched by any other key, which
-  /// is what makes the shard partition free to choose.
-  struct KeyState {
-    std::string name;
-    util::Rng rng{0};  ///< Reseeded from (config seed, key index) in Init.
-    std::unique_ptr<topo::IndexSearchTree> tree;
-    std::unique_ptr<metrics::Recorder> recorder;
-    std::unique_ptr<net::OverlayNetwork> network;
-    std::unique_ptr<proto::TreeProtocolBase> protocol;
-    std::unique_ptr<workload::ZipfNodeSelector> selector;
-    std::unique_ptr<workload::ArrivalProcess> arrivals;
-    IndexVersion next_version = 1;
-    uint64_t publishes = 0;
-    double phase_offset = 0.0;
-    Shard* shard = nullptr;  ///< Engine this key's events run on.
-  };
-
-  /// One engine plus the keys assigned to it. The EventTarget lives here so
-  /// concurrent shards never dispatch through shared simulation state.
-  struct Shard : public sim::EventTarget {
-    MultiKeySimulation* sim = nullptr;
-    sim::Engine engine;
-    std::vector<size_t> key_indices;  ///< Global key indices, ascending.
-
-    void OnSimEvent(uint32_t code, uint64_t arg) override;
-  };
-
   explicit MultiKeySimulation(const MultiKeyConfig& config);
 
   util::Status Init();
   void RunToCompletion();
   MultiKeyResult Collect() const;
 
-  /// Schedules the key's event `code` at `time` on its shard iff `time`
-  /// lands strictly before the horizon (events at t == horizon are never
-  /// scheduled — the strict-boundary contract pinned by the boundary test).
-  void ScheduleBeforeHorizon(size_t key_index, sim::SimTime time,
-                             uint32_t code);
-  /// Draws the key's next inter-arrival and schedules the query.
-  void ScheduleNextQuery(size_t key_index);
-  void FireQuery(size_t key_index);
-  void FirePublish(size_t key_index);
-  void FireRefresh(size_t key_index);
-  void EndWarmup(Shard* shard);
-
   /// Per-key decorrelated stream seed: SplitMix64 over (seed, key index),
   /// mirroring ParallelRunner::SeedForRun's stream-family scheme.
   static uint64_t KeyStreamSeed(uint64_t base_seed, size_t key_index);
 
   MultiKeyConfig config_;
-  std::vector<KeyState> keys_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::optional<workload::UpdateSchedule> schedule_;
-  sim::SimTime horizon_end_ = 0.0;
+  /// One engine per shard; key k runs on engines_[k % shards].
+  std::vector<std::unique_ptr<sim::Engine>> engines_;
+  /// Key k's driver at index k.
+  std::vector<std::unique_ptr<experiment::SimulationDriver>> keys_;
 };
 
 }  // namespace dupnet::multikey
