@@ -11,8 +11,10 @@
 #
 # Stage 2 — three dupd ranks: a real multi-process cluster on localhost.
 # Every rank round-trip-verifies its frames in flight and must report zero
-# rejected frames; dupwire cross-checks all three frame logs together
-# (received ⊆ transmitted, ack pairing, route shape).
+# rejected frames, the ranks together must receive every frame they
+# shipped, and each must coalesce its frames into 1..frames datagrams;
+# dupwire cross-checks all three frame logs together (received ⊆
+# transmitted, ack pairing, route shape).
 #
 # Usage: scripts/cluster_smoke.sh [BUILD_DIR]   (default: ./build)
 set -euo pipefail
@@ -71,13 +73,31 @@ PIDS=()
 cat "$WORK"/rank*.log
 
 # Each rank already aborts on a rejected frame; double-check the recorded
-# counters and make sure traffic actually crossed the wire.
-for rank in 0 1 2; do
-  grep -q '"frames_rejected": 0' "$WORK/rank$rank.stats.json" || {
-    echo "cluster_smoke: rank $rank reported rejected frames" >&2; exit 1; }
-  grep -q '"frames_shipped": 0' "$WORK/rank$rank.stats.json" && {
-    echo "cluster_smoke: rank $rank shipped no frames" >&2; exit 1; }
-done
+# counters. Coalescing must neither lose nor duplicate a frame: every frame
+# shipped arrived at some rank, and each rank sent at least one datagram
+# and no more datagrams than frames.
+python3 - "$WORK"/rank0.stats.json "$WORK"/rank1.stats.json \
+    "$WORK"/rank2.stats.json <<'PY'
+import json
+import sys
+
+stats = []
+for path in sys.argv[1:]:
+    with open(path) as f:
+        stats.append(json.load(f))
+for s in stats:
+    rank, frames, datagrams = (s["rank"], s["frames_shipped"],
+                               s["datagrams_shipped"])
+    if s["frames_rejected"] != 0:
+        sys.exit(f"cluster_smoke: rank {rank} reported rejected frames")
+    if not 0 < datagrams <= frames:
+        sys.exit(f"cluster_smoke: rank {rank} sent {datagrams} datagrams "
+                 f"for {frames} frames")
+shipped = sum(s["frames_shipped"] for s in stats)
+received = sum(s["frames_received"] for s in stats)
+if shipped != received:
+    sys.exit(f"cluster_smoke: {shipped} frames shipped, {received} received")
+PY
 
 "$DUPWIRE" "$WORK"/rank0.frames "$WORK"/rank1.frames "$WORK"/rank2.frames
 

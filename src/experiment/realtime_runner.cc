@@ -78,6 +78,10 @@ util::Status RealtimeRunner::Run(sim::SimTime horizon) {
   // with the network quiescent they are all no-ops, so letting the engine
   // run dry is safe and leaves the state auditable.
   engine.Run();
+  // A frame still pending here was never sent, and would read as lost.
+  if (!transport_->outbox_empty()) {
+    return util::Status::Internal("frames left unsent after the drain");
+  }
   return util::Status::OK();
 }
 

@@ -43,8 +43,8 @@ class RealtimeRunner {
   RealtimeRunner(SimulationDriver* driver, net::UdpTransport* transport,
                  const RealtimeOptions& options);
 
-  /// Runs workload horizon + drain. On success the event queue is empty
-  /// and the network quiescent.
+  /// Runs workload horizon + drain. On success the event queue is empty,
+  /// the network quiescent and every shipped frame sent.
   util::Status Run(sim::SimTime horizon);
 
  private:

@@ -77,6 +77,7 @@ Status UdpTransport::Open(const Options& options) {
   procs_ = static_cast<int>(options.peers.size());
   loopback_wire_ = options.loopback_wire;
   peer_addrs_.resize(options.peers.size());
+  outbox_.resize(options.peers.size());
   for (size_t i = 0; i < options.peers.size(); ++i) {
     sockaddr_in addr;
     DUP_RETURN_IF_ERROR(ParseEndpoint(options.peers[i], &addr));
@@ -134,19 +135,45 @@ Status UdpTransport::Ship(const Message& message) {
         "round-trip mismatch for outbound frame: %s", message.ToString().c_str()));
   }
   DUP_RETURN_IF_ERROR(LogFrame('T', scratch_.data(), scratch_.size()));
-  const int owner = loopback_wire_ ? rank_ : OwnerOf(message.to);
-  sockaddr_in dest;
-  std::memcpy(&dest, peer_addrs_[static_cast<size_t>(owner)].data(),
-              sizeof(dest));
-  const ssize_t sent =
-      ::sendto(fd_, scratch_.data(), scratch_.size(), 0,
-               reinterpret_cast<const sockaddr*>(&dest), sizeof(dest));
-  if (sent < 0) return ErrnoStatus("sendto");
-  if (static_cast<size_t>(sent) != scratch_.size()) {
-    return Status::Unavailable("sendto wrote a partial datagram");
+  const size_t owner =
+      static_cast<size_t>(loopback_wire_ ? rank_ : OwnerOf(message.to));
+  // A frame that would overflow the pending datagram sends it first. A
+  // frame over the budget therefore always ends up alone in its datagram.
+  std::vector<uint8_t>& datagram = outbox_[owner];
+  if (!datagram.empty() &&
+      datagram.size() + scratch_.size() > wire::kDatagramBudget) {
+    Flush(owner);
   }
+  datagram.insert(datagram.end(), scratch_.begin(), scratch_.end());
   ++frames_shipped_;
   return Status::OK();
+}
+
+void UdpTransport::Flush(size_t rank) {
+  std::vector<uint8_t>& datagram = outbox_[rank];
+  if (datagram.empty()) return;
+  sockaddr_in dest;
+  std::memcpy(&dest, peer_addrs_[rank].data(), sizeof(dest));
+  ssize_t sent;
+  do {
+    sent = ::sendto(fd_, datagram.data(), datagram.size(), 0,
+                    reinterpret_cast<const sockaddr*>(&dest), sizeof(dest));
+  } while (sent < 0 && errno == EINTR);
+  // A failed or partial send loses the datagram, exactly as the network
+  // would; reliable frames in it recover through the retry timer.
+  if (sent >= 0 && static_cast<size_t>(sent) == datagram.size()) {
+    ++datagrams_shipped_;
+  } else {
+    ++datagrams_dropped_;
+  }
+  datagram.clear();
+}
+
+bool UdpTransport::outbox_empty() const {
+  for (const std::vector<uint8_t>& datagram : outbox_) {
+    if (!datagram.empty()) return false;
+  }
+  return true;
 }
 
 Result<size_t> UdpTransport::Pump(int timeout_ms) {
@@ -154,8 +181,11 @@ Result<size_t> UdpTransport::Pump(int timeout_ms) {
     return Status::FailedPrecondition("Pump before set_network");
   }
   size_t delivered = 0;
-  uint8_t buffer[wire::kMaxFrameSize + 1];  // +1 detects oversized frames.
+  // Our own datagrams never exceed kMaxFrameSize (wire::kDatagramBudget is
+  // below it and a larger frame travels alone); +1 detects bigger ones.
+  uint8_t buffer[wire::kMaxFrameSize + 1];
   for (;;) {
+    for (size_t rank = 0; rank < outbox_.size(); ++rank) Flush(rank);
     const ssize_t got = ::recvfrom(fd_, buffer, sizeof(buffer), 0, nullptr,
                                    nullptr);
     if (got < 0) {
@@ -171,25 +201,39 @@ Result<size_t> UdpTransport::Pump(int timeout_ms) {
       return ErrnoStatus("recvfrom");
     }
     const size_t size = static_cast<size_t>(got);
-    DUP_RETURN_IF_ERROR(LogFrame('R', buffer, size));
-    const Status parsed = wire::Parse(buffer, size, &inbound_);
-    if (!parsed.ok()) {
-      // Malformed or alien datagram: count and drop — never UB, never a
-      // crash. Reliable classes recover through the sender's retry timer.
+    if (size > wire::kMaxFrameSize) {
+      // Cut short by the buffer: no sender of this build made it.
+      DUP_RETURN_IF_ERROR(LogFrame('R', buffer, size));
       ++frames_rejected_;
       continue;
     }
-    // Byte-level round-trip on the inbound side: re-encoding the decoded
-    // message must reproduce the received frame exactly.
-    DUP_RETURN_IF_ERROR(wire::Serialize(inbound_, &verify_));
-    if (verify_.size() != size ||
-        std::memcmp(verify_.data(), buffer, size) != 0) {
-      return Status::Internal(util::StrFormat(
-          "inbound frame re-encode mismatch: %s", inbound_.ToString().c_str()));
+    for (size_t offset = 0; offset < size;) {
+      const uint8_t* frame = buffer + offset;
+      const size_t length = wire::FrameLength(frame, size - offset);
+      if (!wire::Parse(frame, length, &inbound_).ok()) {
+        // Malformed or alien frame: the rest of the datagram cannot be
+        // split reliably, so it is logged as one record, counted once and
+        // dropped — never UB, never a crash. Reliable classes recover
+        // through the sender's retry timer.
+        DUP_RETURN_IF_ERROR(LogFrame('R', frame, size - offset));
+        ++frames_rejected_;
+        break;
+      }
+      DUP_RETURN_IF_ERROR(LogFrame('R', frame, length));
+      offset += length;
+      // Byte-level round-trip on the inbound side: re-encoding the decoded
+      // message must reproduce the received frame exactly.
+      DUP_RETURN_IF_ERROR(wire::Serialize(inbound_, &verify_));
+      if (verify_.size() != length ||
+          std::memcmp(verify_.data(), frame, length) != 0) {
+        return Status::Internal(util::StrFormat(
+            "inbound frame re-encode mismatch: %s",
+            inbound_.ToString().c_str()));
+      }
+      ++frames_received_;
+      network_->ReceiveFrame(inbound_);
+      ++delivered;
     }
-    ++frames_received_;
-    network_->ReceiveFrame(inbound_);
-    ++delivered;
   }
 }
 

@@ -20,6 +20,14 @@ class OverlayNetwork;
 /// Real-socket transport backend: ships net::wire frames as UDP datagrams
 /// between the dupd processes of a cluster (tools/dupd, docs/wire-format.md).
 ///
+/// Frames are coalesced: Ship() appends each frame to a pending datagram
+/// for the destination rank, and the datagram is sent when the next frame
+/// would push it past wire::kDatagramBudget or when Pump() runs, which
+/// sends every pending datagram before each socket read. One datagram per
+/// peer per pump pass replaces one per frame, which is what bounds the tail
+/// latency of a publish or expiry burst: the per-datagram kernel path, not
+/// the syscall entry, dominates a loopback send.
+///
 /// Node ownership is static SPMD partitioning: node `n` lives in the
 /// process with rank `n % procs`. Every process builds the identical
 /// topology from the same seed, so the owner of any destination is a pure
@@ -71,18 +79,33 @@ class UdpTransport : public Transport {
     return static_cast<int>(node % static_cast<NodeId>(procs_));
   }
 
-  /// Drains the socket, decoding and delivering every queued frame;
-  /// blocks up to `timeout_ms` for the first one (0 = pure poll).
-  /// Returns the number of frames delivered.
+  /// Sends every pending datagram, then drains the socket, decoding and
+  /// delivering every queued frame in order; pending datagrams are sent
+  /// again before each further read, so the replies those frames trigger
+  /// travel within the same call. Blocks up to `timeout_ms` for the first
+  /// datagram (0 = pure poll). Returns the number of frames delivered; on
+  /// success nothing is left pending.
   util::Result<size_t> Pump(int timeout_ms);
 
+  /// Frames accepted by Ship(), whether or not their datagram has left.
   uint64_t frames_shipped() const { return frames_shipped_; }
   uint64_t frames_received() const { return frames_received_; }
-  /// Inbound datagrams rejected by net::wire::Parse (malformed/alien).
+  /// Inbound datagrams cut short by a frame net::wire::Parse rejected
+  /// (malformed/alien): the frames before it are delivered, that frame
+  /// and the rest of the datagram are dropped and counted once here.
   uint64_t frames_rejected() const { return frames_rejected_; }
+  /// Datagrams handed to the kernel.
+  uint64_t datagrams_shipped() const { return datagrams_shipped_; }
+  /// Datagrams a failed sendto dropped; their frames count as shipped and
+  /// reliable ones recover through the sender's retry timer.
+  uint64_t datagrams_dropped() const { return datagrams_dropped_; }
+  /// True when no frame is waiting in a pending datagram.
+  bool outbox_empty() const;
 
  private:
   util::Status LogFrame(char dir, const uint8_t* data, size_t size);
+  /// Sends rank's pending datagram, if any, and empties it.
+  void Flush(size_t rank);
 
   OverlayNetwork* network_ = nullptr;
   int fd_ = -1;
@@ -93,6 +116,8 @@ class UdpTransport : public Transport {
   /// of this header.
   std::vector<std::array<unsigned char, 16>> peer_addrs_;
   std::FILE* frame_log_ = nullptr;
+  /// Pending datagram per destination rank: whole frames back to back.
+  std::vector<std::vector<uint8_t>> outbox_;
   // Ship() and Pump() need disjoint scratch state: delivering an inbound
   // message can reenter Ship() (the receiver acks, the protocol replies)
   // while that message is still referenced, so Ship must never write into
@@ -104,6 +129,8 @@ class UdpTransport : public Transport {
   uint64_t frames_shipped_ = 0;
   uint64_t frames_received_ = 0;
   uint64_t frames_rejected_ = 0;
+  uint64_t datagrams_shipped_ = 0;
+  uint64_t datagrams_dropped_ = 0;
 };
 
 }  // namespace dupnet::net

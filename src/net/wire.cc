@@ -166,6 +166,12 @@ Status Serialize(const Message& message, std::vector<uint8_t>* out) {
   return Status::OK();
 }
 
+size_t FrameLength(const uint8_t* data, size_t size) {
+  if (size < kHeaderSize) return size;
+  const size_t length = kHeaderSize + 4 * size_t{GetU16(data + kOffRouteLen)};
+  return length <= size ? length : size;
+}
+
 Status Parse(const uint8_t* data, size_t size, Message* out) {
   if (size < kHeaderSize) {
     return Status::InvalidArgument(util::StrFormat(

@@ -12,7 +12,8 @@ namespace dupnet::net::wire {
 
 /// Packed binary wire format for net::Message (docs/wire-format.md).
 ///
-/// Every frame is one UDP datagram:
+/// A UDP datagram carries one or more whole frames back to back. Each frame
+/// is:
 ///
 ///   offset  size  field
 ///   0       1     msgcode (kMsgCode*, 0x01..0x09; 0x00 reserved invalid)
@@ -40,7 +41,8 @@ namespace dupnet::net::wire {
 /// Bumped whenever the byte layout changes; a frame whose version byte
 /// differs is rejected so mixed-build clusters fail loudly instead of
 /// misinterpreting fields (the versioning rule of docs/wire-format.md).
-inline constexpr uint8_t kWireVersion = 1;
+/// Version 2 began carrying several frames per datagram.
+inline constexpr uint8_t kWireVersion = 2;
 
 /// Fixed header size in bytes (everything before the route payload).
 inline constexpr size_t kHeaderSize = 54;
@@ -52,6 +54,13 @@ inline constexpr size_t kMaxRouteEntries = 1024;
 
 /// Largest frame Serialize can emit / Parse will accept.
 inline constexpr size_t kMaxFrameSize = kHeaderSize + 4 * kMaxRouteEntries;
+
+/// Most bytes a sender coalesces into one datagram: the IPv4 UDP payload of
+/// a 1500-byte MTU (1500 - 20 - 8), so cluster datagrams never fragment. A
+/// frame larger than this travels alone, which keeps every datagram within
+/// kMaxFrameSize and lets a receiver size its buffer by that bound.
+inline constexpr size_t kDatagramBudget = 1472;
+static_assert(kDatagramBudget <= kMaxFrameSize);
 
 /// Message-type codes on the wire. Deliberately decoupled from the
 /// MessageType enumerator order so reordering the C++ enum can never
@@ -93,6 +102,13 @@ util::Status ValidateForWire(const Message& message);
 /// allocation-free). Fails — leaving `out` cleared — iff ValidateForWire
 /// fails.
 util::Status Serialize(const Message& message, std::vector<uint8_t>* out);
+
+/// Length of the frame that starts at `data[0]` as its header announces it
+/// (kHeaderSize + 4 * route_len), for splitting a datagram into frames.
+/// Returns `size` when fewer than kHeaderSize bytes remain or the announced
+/// frame runs past `size`, so Parse of that span reports the truncation.
+/// Validates nothing else; Parse does.
+size_t FrameLength(const uint8_t* data, size_t size);
 
 /// Decodes one frame that must occupy `data[0, size)` exactly. On success
 /// `*out` holds every field (route storage is reused via assign). On any

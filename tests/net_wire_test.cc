@@ -3,10 +3,14 @@
 // malformed-frame corpus (truncation at every byte offset, unknown
 // msgcodes, flag/reserved garbage, route overflow, non-finite expiry,
 // trailing bytes — every one must come back as a clean util::Status, never
-// UB), and a live loopback pass through net::UdpTransport.
+// UB), a live loopback pass through net::UdpTransport, and multi-frame
+// datagrams sent raw from a second socket.
 
 #include "net/wire.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cmath>
@@ -333,6 +337,147 @@ TEST(UdpTransportTest, LoopbackWireDeliversThroughRealSocket) {
   EXPECT_EQ(transport.frames_rejected(), 0u);
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0], m);
+}
+
+// A loopback-wire transport fed raw datagrams from a second socket, so a
+// test controls exactly which frames share a datagram.
+class DatagramTest : public ::testing::Test {
+ protected:
+  struct Log : public MessageSink {
+    std::vector<Message> messages;
+    void OnMessage(const Message& m) override { messages.push_back(m); }
+  };
+
+  DatagramTest() : network_(&engine_, &rng_, &recorder_, 0.1) {}
+  ~DatagramTest() override {
+    if (sender_ >= 0) ::close(sender_);
+  }
+
+  void SetUp() override {
+    network_.set_sink(&log_);
+    UdpTransport::Options options;
+    options.loopback_wire = true;
+    util::Status opened = util::Status::Unavailable("no port tried");
+    int port = 0;
+    for (int attempt = 0; attempt < 16 && !opened.ok(); ++attempt) {
+      port = 21000 + (::getpid() + 7 + attempt * 131) % 20000;
+      options.peers = {util::StrFormat("127.0.0.1:%d", port)};
+      opened = transport_.Open(options);
+    }
+    ASSERT_TRUE(opened.ok()) << opened.ToString();
+    transport_.set_network(&network_);
+    network_.set_transport(&transport_);
+    sender_ = ::socket(AF_INET, SOCK_DGRAM, 0);
+    ASSERT_GE(sender_, 0);
+    dest_.sin_family = AF_INET;
+    dest_.sin_port = htons(static_cast<uint16_t>(port));
+    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &dest_.sin_addr), 1);
+  }
+
+  // A best-effort push (seq 0, so delivery sends no ack back).
+  static Message Push(uint64_t version, size_t route_len = 2) {
+    Message m;
+    m.type = MessageType::kPush;
+    m.from = 1;
+    m.to = 2;
+    m.version = version;
+    m.expiry = 9.5;
+    for (size_t i = 0; i < route_len; ++i) {
+      m.route.push_back(static_cast<NodeId>(i));
+    }
+    return m;
+  }
+
+  static void Append(const Message& m, std::vector<uint8_t>* datagram) {
+    std::vector<uint8_t> frame;
+    ASSERT_TRUE(wire::Serialize(m, &frame).ok());
+    datagram->insert(datagram->end(), frame.begin(), frame.end());
+  }
+
+  void SendRaw(const std::vector<uint8_t>& datagram) {
+    const ssize_t sent =
+        ::sendto(sender_, datagram.data(), datagram.size(), 0,
+                 reinterpret_cast<const sockaddr*>(&dest_), sizeof(dest_));
+    ASSERT_EQ(sent, static_cast<ssize_t>(datagram.size()));
+  }
+
+  size_t Pump() {
+    auto pumped = transport_.Pump(/*timeout_ms=*/2000);
+    EXPECT_TRUE(pumped.ok()) << pumped.status().ToString();
+    EXPECT_TRUE(transport_.outbox_empty());
+    return pumped.ok() ? *pumped : 0;
+  }
+
+  sim::Engine engine_;
+  util::Rng rng_{7};
+  metrics::Recorder recorder_;
+  OverlayNetwork network_;
+  Log log_;
+  UdpTransport transport_;
+  int sender_ = -1;
+  sockaddr_in dest_{};
+};
+
+TEST_F(DatagramTest, ThreeFrameDatagramDeliversAllInOrder) {
+  std::vector<uint8_t> datagram;
+  Append(Push(1), &datagram);
+  Append(Push(2, 0), &datagram);
+  Append(Push(3, 5), &datagram);
+  SendRaw(datagram);
+  EXPECT_EQ(Pump(), 3u);
+  EXPECT_EQ(log_.messages,
+            (std::vector<Message>{Push(1), Push(2, 0), Push(3, 5)}));
+  EXPECT_EQ(transport_.frames_received(), 3u);
+  EXPECT_EQ(transport_.frames_rejected(), 0u);
+}
+
+TEST_F(DatagramTest, BadFrameDropsTheRestOfItsDatagramOnly) {
+  // A malformed frame and a truncated trailing frame each end the datagram:
+  // the frames before it arrive, it counts once, the next datagram arrives.
+  for (const bool truncated : {false, true}) {
+    SCOPED_TRACE(truncated ? "truncated" : "malformed");
+    log_.messages.clear();
+    const uint64_t rejected0 = transport_.frames_rejected();
+    std::vector<uint8_t> datagram;
+    Append(Push(1), &datagram);
+    Append(Push(2), &datagram);
+    const size_t bad = datagram.size();
+    Append(Push(3), &datagram);
+    if (truncated) {
+      datagram.resize(datagram.size() - 5);
+    } else {
+      datagram[bad] = wire::kMsgCodeInvalid;
+      Append(Push(4), &datagram);
+    }
+    SendRaw(datagram);
+    EXPECT_EQ(Pump(), 2u);
+    EXPECT_EQ(log_.messages, (std::vector<Message>{Push(1), Push(2)}));
+    EXPECT_EQ(transport_.frames_rejected(), rejected0 + 1);
+
+    std::vector<uint8_t> next;
+    Append(Push(5), &next);
+    SendRaw(next);
+    EXPECT_EQ(Pump(), 1u);
+    EXPECT_EQ(log_.messages.back(), Push(5));
+    EXPECT_EQ(transport_.frames_rejected(), rejected0 + 1);
+  }
+}
+
+TEST_F(DatagramTest, ShipCoalescesAndAnOverBudgetFrameTravelsAlone) {
+  const Message big = Push(3, 400);  // 54 + 4 * 400 bytes.
+  ASSERT_GT(wire::SerializedSize(big), wire::kDatagramBudget);
+  const std::vector<Message> sent = {Push(1), Push(2), big, Push(4)};
+  for (const Message& m : sent) network_.Send(m);
+  EXPECT_EQ(transport_.frames_shipped(), 4u);
+  // The two small frames shared a datagram that the big frame flushed; the
+  // big one was flushed by the last frame, which Pump sends.
+  EXPECT_EQ(transport_.datagrams_shipped(), 2u);
+  EXPECT_FALSE(transport_.outbox_empty());
+  EXPECT_EQ(Pump(), 4u);
+  EXPECT_EQ(transport_.datagrams_shipped(), 3u);
+  EXPECT_EQ(transport_.datagrams_dropped(), 0u);
+  EXPECT_EQ(log_.messages, sent);
+  EXPECT_EQ(transport_.frames_rejected(), 0u);
 }
 
 TEST(UdpTransportTest, RejectsMalformedPeerEndpoints) {

@@ -148,10 +148,11 @@ int main(int argc, char** argv) {
 
   const metrics::RunMetrics metrics = driver.Collect();
   std::printf(
-      "dupd rank %d/%d: shipped=%llu received=%llu rejected=%llu "
-      "sent=%llu dropped=%llu queries=%llu\n",
+      "dupd rank %d/%d: shipped=%llu datagrams=%llu received=%llu "
+      "rejected=%llu sent=%llu dropped=%llu queries=%llu\n",
       rank, procs,
       static_cast<unsigned long long>(transport.frames_shipped()),
+      static_cast<unsigned long long>(transport.datagrams_shipped()),
       static_cast<unsigned long long>(transport.frames_received()),
       static_cast<unsigned long long>(transport.frames_rejected()),
       static_cast<unsigned long long>(driver.network().messages_sent()),
@@ -166,6 +167,8 @@ int main(int argc, char** argv) {
     doc.Set("frames_shipped", transport.frames_shipped());
     doc.Set("frames_received", transport.frames_received());
     doc.Set("frames_rejected", transport.frames_rejected());
+    doc.Set("datagrams_shipped", transport.datagrams_shipped());
+    doc.Set("datagrams_dropped", transport.datagrams_dropped());
     doc.Set("messages_sent", driver.network().messages_sent());
     doc.Set("messages_dropped", driver.network().messages_dropped());
     doc.Set("pending_acks",

@@ -193,10 +193,11 @@ int RunWire(const util::ConfigMap& args,
 
   const metrics::RunMetrics metrics = driver.Collect();
   std::printf(
-      "wire run (%s): %llu frames shipped, %llu received, %llu rejected "
-      "in %.2fs wall (pace=%g)\n",
+      "wire run (%s): %llu frames shipped in %llu datagrams, %llu "
+      "received, %llu rejected in %.2fs wall (pace=%g)\n",
       std::string(experiment::SchemeToString(config.scheme)).c_str(),
       static_cast<unsigned long long>(transport.frames_shipped()),
+      static_cast<unsigned long long>(transport.datagrams_shipped()),
       static_cast<unsigned long long>(transport.frames_received()),
       static_cast<unsigned long long>(transport.frames_rejected()),
       wall_seconds, config.wire_pace);
