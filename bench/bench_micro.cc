@@ -318,31 +318,31 @@ struct SimBaseline {
 /// Whole-simulation census, two runs. The first run learns the
 /// configuration's pool high-water marks (event slots, in-flight message
 /// slots and their route capacities, FIFO pair-clock links); the second
-/// replays the identical run with every pool preallocated
-/// (ExperimentConfig::prealloc) and hard-asserts that the entire
-/// simulation — every event from the first to the last — performed zero
-/// heap allocations. Protocol state is flat slabs sized at construction
+/// replays the identical run, prewarms every pool to those marks between
+/// Init and the first event, and hard-asserts that the entire simulation —
+/// every event from the first to the last — performed zero heap
+/// allocations. Protocol state is flat slabs sized at construction
 /// (docs/scaling.md), so once the transport pools are pre-sized there is
 /// nothing left that touches the heap.
 SimBaseline MeasureFullSim(experiment::Scheme scheme, const char* name) {
-  experiment::ExperimentConfig config = MicroSimConfig(scheme);
+  const experiment::ExperimentConfig config = MicroSimConfig(scheme);
 
-  {
-    experiment::SimulationDriver sizing(config);
-    DUP_CHECK_OK(sizing.Init());
-    sizing.RunToCompletion();
-    config.prealloc.event_slots = sizing.engine().pool_slots();
-    config.prealloc.message_slots = sizing.network().message_pool_slots();
-    config.prealloc.route_capacity = sizing.network().max_route_capacity();
-    config.prealloc.pair_clock_slots =
-        static_cast<size_t>(sizing.network().pair_clock_inserts()) + 1;
-    config.prealloc.max_node_id = config.num_nodes;
-  }
+  experiment::SimulationDriver sizing(config);
+  DUP_CHECK_OK(sizing.Init());
+  sizing.RunToCompletion();
 
   SimBaseline result;
   result.scheme = name;
   experiment::SimulationDriver driver(config);
   DUP_CHECK_OK(driver.Init());  // Builds topology + pools: may allocate.
+  // Capacity reservations only: the replay's events and metrics match the
+  // sizing run's.
+  driver.engine().ReserveEvents(sizing.engine().pool_slots());
+  driver.network().Prewarm(
+      sizing.network().message_pool_slots(),
+      sizing.network().max_route_capacity(),
+      static_cast<size_t>(sizing.network().pair_clock_inserts()) + 1,
+      config.num_nodes);
   const uint64_t allocs_before = AllocCount();
   const auto start = std::chrono::steady_clock::now();
   driver.RunToCompletion();

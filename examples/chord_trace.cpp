@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <string>
 
-#include "chord/dynamic_ring.h"
 #include "chord/ring.h"
 #include "chord/sha1.h"
 #include "chord/tree_builder.h"
@@ -56,30 +55,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  // --- Dynamic maintenance (the paper's Section III-C premise that "the
-  // underlying peer-to-peer network protocol takes care of topology
-  // changes of the index search tree"). ---------------------------------
-  std::printf("\n--- churn on a live ring ---\n");
-  auto dynamic = chord::DynamicChordRing::Create(n);
-  DUP_CHECK(dynamic.ok()) << dynamic.status().ToString();
-  DUP_CHECK_OK(dynamic->Fail(static_cast<NodeId>(n / 3)));
-  DUP_CHECK_OK(dynamic->Fail(static_cast<NodeId>(n / 2)));
-  DUP_CHECK_OK(dynamic->Join(static_cast<NodeId>(n + 1), 0));
-  std::printf("failed 2 nodes, joined 1: ring audit now %s, %zu stale "
-              "finger entries\n",
-              dynamic->ValidateRing().ok() ? "ok" : "BROKEN",
-              dynamic->StaleFingerCount());
-  dynamic->StabilizeAll();
-  dynamic->FixFingersAll();
-  std::printf("after one stabilize + fix-fingers round: audit %s, %zu "
-              "stale entries\n",
-              dynamic->ValidateRing().ok() ? "ok" : "BROKEN",
-              dynamic->StaleFingerCount());
-  auto repaired = dynamic->BuildIndexTree(key_id);
-  DUP_CHECK(repaired.ok()) << repaired.status().ToString();
-  DUP_CHECK_OK(repaired->Validate());
-  std::printf(
-      "re-derived index search tree spans all %zu live nodes (root %u).\n",
-      repaired->size(), repaired->root());
   return 0;
 }

@@ -34,11 +34,16 @@ std::string_view NameOf(const Spelling<E> (&spellings)[N], E value) {
 template <typename E, size_t N>
 Result<E> Lookup(const Spelling<E> (&spellings)[N], const char* what,
                  std::string_view name) {
+  std::string canonical;  // The accepted values, aliases left out.
   for (const Spelling<E>& s : spellings) {
     if (s.name == name) return s.value;
+    if (NameOf(spellings, s.value) != s.name) continue;
+    if (!canonical.empty()) canonical += '|';
+    canonical += s.name;
   }
-  return Status::InvalidArgument(util::StrFormat(
-      "unknown %s \"%s\"", what, std::string(name).c_str()));
+  return Status::InvalidArgument(
+      util::StrFormat("unknown %s \"%s\" (expected %s)", what,
+                      std::string(name).c_str(), canonical.c_str()));
 }
 
 constexpr Spelling<Scheme> kSchemes[] = {{"pcx", Scheme::kPcx},
@@ -48,9 +53,7 @@ constexpr Spelling<Scheme> kSchemes[] = {{"pcx", Scheme::kPcx},
 constexpr Spelling<TopologyKind> kTopologies[] = {
     {"random-tree", TopologyKind::kRandomTree},
     {"tree", TopologyKind::kRandomTree},
-    {"chord", TopologyKind::kChord},
-    {"can", TopologyKind::kCan},
-    {"pastry", TopologyKind::kPastry}};
+    {"chord", TopologyKind::kChord}};
 constexpr Spelling<TransportKind> kTransports[] = {
     {"sim", TransportKind::kSim},
     {"wire", TransportKind::kWire},
@@ -118,9 +121,6 @@ Status ExperimentConfig::Validate() const {
   }
   if (max_degree < 1) {
     return Status::InvalidArgument("max_degree must be at least 1");
-  }
-  if (can_dims < 1 || can_dims > 8) {
-    return Status::InvalidArgument("can_dims must be in [1, 8]");
   }
   if (lambda <= 0.0) {
     return Status::InvalidArgument("lambda must be positive");

@@ -25,8 +25,6 @@ enum class Scheme { kPcx, kCup, kDup, kAdaptive };
 enum class TopologyKind {
   kRandomTree,  ///< Paper's synthetic model (uniform [1, D] children).
   kChord,       ///< Derived from a real Chord ring's lookup paths.
-  kCan,         ///< Derived from a real CAN coordinate space's routes.
-  kPastry,      ///< Derived from a real Pastry overlay's prefix routes.
 };
 
 /// Query inter-arrival process.
@@ -84,8 +82,6 @@ struct ExperimentConfig {
   size_t num_nodes = 4096;
   /// Maximum node degree D of the index search tree (paper default 4).
   int max_degree = 4;
-  /// Dimensionality of the CAN coordinate space (TopologyKind::kCan only).
-  int can_dims = 2;
 
   /// Mean query arrival rate lambda, queries/second network-wide.
   double lambda = 1.0;
@@ -177,24 +173,6 @@ struct ExperimentConfig {
   /// implementation. Both produce bit-identical RunMetrics — the knob
   /// exists for A/B benchmarking (bench_scale) and equivalence tests.
   sim::SchedulerKind scheduler = sim::SchedulerKind::kCalendar;
-
-  /// Steady-state preallocation hints (all 0 = none). Pure capacity
-  /// reservations applied before any traffic — RunMetrics are bit-identical
-  /// with or without them. Feed them the high-water marks of an identical
-  /// prior run (bench_micro's two-run allocation census) and the whole
-  /// simulation performs zero heap allocations from the first event on.
-  struct PreallocHints {
-    size_t event_slots = 0;       ///< Engine event pool (ReserveEvents).
-    size_t message_slots = 0;     ///< Network in-flight message slab.
-    size_t route_capacity = 0;    ///< Route entries reserved per slab slot.
-    size_t pair_clock_slots = 0;  ///< FIFO pair-clock links (live pairs).
-    size_t max_node_id = 0;       ///< Down-marker table sized to this id.
-    bool any() const {
-      return event_slots > 0 || message_slots > 0 || route_capacity > 0 ||
-             pair_clock_slots > 0 || max_node_id > 0;
-    }
-  };
-  PreallocHints prealloc;
 
   /// When non-empty, the driver attaches a trace::JsonlTraceWriter to the
   /// overlay network and streams every observed send/deliver/drop there

@@ -187,13 +187,11 @@ std::vector<ConfigKey> BuildTable() {
   return {
       Choice("scheme", "consistency scheme: pcx|cup|dup|adaptive", ParseScheme,
           SchemeToString, FIELD(scheme)),
-      Choice("topology", "index search tree: random-tree|chord|can|pastry",
+      Choice("topology", "index search tree: random-tree|chord",
           ParseTopology, TopologyToString, FIELD(topology)),
       Integer("nodes", "network size n", 2, FIELD(num_nodes)),
       Integer("degree", "max children D per random-tree node", 1,
           FIELD(max_degree)),
-      Integer("can_dims", "CAN coordinate dimensions (topology=can)", 1,
-          FIELD(can_dims), 8),
       Real("lambda", "network-wide query rate lambda, queries/s", kPositive,
           FIELD(lambda)),
       Choice("arrival", "query inter-arrivals: exponential|pareto",

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "can/space.h"
 #include "chord/tree_builder.h"
-#include "pastry/pastry.h"
 #include "proto/cup.h"
 #include "proto/pcx.h"
 #include "topo/tree_generator.h"
@@ -91,23 +89,6 @@ Status SimulationDriver::BuildTopology() {
       tree_ = std::make_unique<topo::IndexSearchTree>(std::move(*tree));
       break;
     }
-    case TopologyKind::kCan: {
-      auto space = can::CanSpace::Create(config_.num_nodes, config_.can_dims,
-                                         config_.seed ^ 0xCA11AB1Eu);
-      DUP_RETURN_IF_ERROR(space.status());
-      auto tree = space->BuildIndexTreeForKeyName("the-index");
-      DUP_RETURN_IF_ERROR(tree.status());
-      tree_ = std::make_unique<topo::IndexSearchTree>(std::move(*tree));
-      break;
-    }
-    case TopologyKind::kPastry: {
-      auto network = pastry::PastryNetwork::Create(config_.num_nodes);
-      DUP_RETURN_IF_ERROR(network.status());
-      auto tree = network->BuildIndexTreeForKeyName("the-index");
-      DUP_RETURN_IF_ERROR(tree.status());
-      tree_ = std::make_unique<topo::IndexSearchTree>(std::move(*tree));
-      break;
-    }
   }
   return Status::OK();
 }
@@ -140,13 +121,6 @@ Status SimulationDriver::Init() {
       &engine_, &rng_, &recorder_, config_.hop_latency_mean);
   network_->set_faults(config_.faults);
   if (transport_ != nullptr) network_->set_transport(transport_);
-  if (config_.prealloc.any()) {
-    engine_.ReserveEvents(config_.prealloc.event_slots);
-    network_->Prewarm(config_.prealloc.message_slots,
-                      config_.prealloc.route_capacity,
-                      config_.prealloc.pair_clock_slots,
-                      config_.prealloc.max_node_id);
-  }
   if (!config_.trace_path.empty()) {
     auto sampling = trace::TraceSampling::Parse(config_.trace_sample);
     DUP_RETURN_IF_ERROR(sampling.status());

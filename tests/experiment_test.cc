@@ -155,9 +155,7 @@ TEST_P(DriverTopologyTest, EverySubstrateRuns) {
 
 INSTANTIATE_TEST_SUITE_P(Topologies, DriverTopologyTest,
                          ::testing::Values(TopologyKind::kRandomTree,
-                                           TopologyKind::kChord,
-                                           TopologyKind::kCan,
-                                           TopologyKind::kPastry));
+                                           TopologyKind::kChord));
 
 TEST(DriverTest, InstanceApiExposesInternals) {
   ExperimentConfig config = SmallConfig();
@@ -349,7 +347,6 @@ TEST(ConfigKeysTest, RangeChecksNameTheKey) {
   ExperimentConfig config;
   for (const auto& [key, value] :
        std::map<std::string, std::string>{{"nodes", "1"},
-                                          {"can_dims", "9"},
                                           {"lambda", "0"},
                                           {"loss_rate", "1.5"},
                                           {"exit_fraction", "1"},
@@ -448,7 +445,7 @@ TEST(ConfigKeysTest, ManifestReplaysToTheSameConfig) {
   const std::map<std::string, std::string> values = {
       {"scheme", "cup"},          {"topology", "chord"},
       {"nodes", "777"},           {"degree", "7"},
-      {"can_dims", "3"},          {"lambda", "2.5"},
+      {"lambda", "2.5"},
       {"arrival", "pareto"},      {"alpha", "1.05"},
       {"theta", "1.25"},          {"c", "9"},
       {"fwd", "0"},               {"percopy", "off"},
